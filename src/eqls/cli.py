@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -96,6 +97,14 @@ def _emit_table(args, columns, rows, md_formats=None, extra_json=None) -> None:
         _emit(args, _render_json(columns, rows, extra_json))
     else:
         _emit(args, _render_md(columns, rows, md_formats))
+
+
+def finite(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _registry(args):
@@ -315,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="surface-state spectra for all (or one) surface")
     _add_common(p)
     p.add_argument("--substance", help="restrict to one surface (name or substring)")
-    p.add_argument("--b", type=float, help="override the image cutoff b in A")
-    p.add_argument("--v0", type=float, help="override the barrier height V0 in eV")
+    p.add_argument("--b", type=finite, help="override the image cutoff b in A")
+    p.add_argument("--v0", type=finite, help="override the barrier height V0 in eV")
     p.add_argument("--residuals", action="store_true",
                    help="append stored reference values and relative residuals")
     p.set_defaults(func=_cmd_table2)
@@ -325,30 +334,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--substance", required=True)
     p.add_argument("--levels", type=int, default=2, help="number of states (default 2)")
-    p.add_argument("--field", type=float, default=0.0,
+    p.add_argument("--field", type=finite, default=0.0,
                    help="vertical pressing field in V/m (positive presses)")
-    p.add_argument("--b", type=float, help="override the image cutoff b in A")
-    p.add_argument("--v0", type=float, help="override the barrier height V0 in eV")
-    p.add_argument("--grid-h", type=float, help="grid spacing in A")
-    p.add_argument("--grid-zmax", type=float, help="grid extent above the surface in A")
+    p.add_argument("--b", type=finite, help="override the image cutoff b in A")
+    p.add_argument("--v0", type=finite, help="override the barrier height V0 in eV")
+    p.add_argument("--grid-h", type=finite, help="grid spacing in A")
+    p.add_argument("--grid-zmax", type=finite, help="grid extent above the surface in A")
     p.add_argument("--dump-psi", metavar="DIR",
                    help="write one two-column wavefunction file per state")
     p.set_defaults(func=_cmd_states)
 
     p = sub.add_parser("phase-diagram", help="melting curve and critical point")
     _add_common(p, substances=False)
-    p.add_argument("--gamma0", type=float, required=True,
+    p.add_argument("--gamma0", type=finite, required=True,
                    help="melting threshold of the plasma parameter")
-    p.add_argument("--t-min", type=float, default=0.5)
-    p.add_argument("--t-max", type=float, default=20.0)
+    p.add_argument("--t-min", type=finite, default=0.5)
+    p.add_argument("--t-max", type=finite, default=20.0)
     p.add_argument("--points", type=int, default=40)
     p.set_defaults(func=_cmd_phase_diagram)
 
     p = sub.add_parser("classify", help="phase label at one (density, temperature)")
     _add_common(p, substances=False)
-    p.add_argument("--density", type=float, required=True, help="electron density in cm^-2")
-    p.add_argument("--temperature", type=float, required=True, help="temperature in K")
-    p.add_argument("--gamma0", type=float, default=phases.DEFAULT_GAMMA0)
+    p.add_argument("--density", type=finite, required=True, help="electron density in cm^-2")
+    p.add_argument("--temperature", type=finite, required=True, help="temperature in K")
+    p.add_argument("--gamma0", type=finite, default=phases.DEFAULT_GAMMA0)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("couple", help="cQED estimators")
@@ -356,32 +365,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = csub.add_parser("gs", help="gradient-mediated spin-photon coupling")
     _add_common(q, substances=False)
-    q.add_argument("--g", type=float, required=True, help="charge-photon coupling in MHz")
-    q.add_argument("--f-charge", type=float, required=True, help="charge frequency in GHz")
-    q.add_argument("--f-larmor", type=float, required=True, help="Larmor frequency in GHz")
-    q.add_argument("--grad-bz", type=float, required=True,
+    q.add_argument("--g", type=finite, required=True, help="charge-photon coupling in MHz")
+    q.add_argument("--f-charge", type=finite, required=True, help="charge frequency in GHz")
+    q.add_argument("--f-larmor", type=finite, required=True, help="Larmor frequency in GHz")
+    q.add_argument("--grad-bz", type=finite, required=True,
                    help="field gradient in T/m (1 mG/nm = 100 T/m)")
-    q.add_argument("--mass-ratio", type=float, default=1.0)
+    q.add_argument("--mass-ratio", type=finite, default=1.0)
     q.set_defaults(func=_cmd_couple_gs)
 
     q = csub.add_parser("imagecharge", help="image-charge change from a level shift")
     _add_common(q, substances=False)
-    q.add_argument("--dz-nm", type=float, required=True, help="vertical shift in nm")
+    q.add_argument("--dz-nm", type=finite, required=True, help="vertical shift in nm")
     group = q.add_mutually_exclusive_group(required=True)
-    group.add_argument("--d-nm", type=float, help="electrode distance in nm")
-    group.add_argument("--d-mm", type=float, help="electrode distance in mm")
+    group.add_argument("--d-nm", type=finite, help="electrode distance in nm")
+    group.add_argument("--d-mm", type=finite, help="electrode distance in mm")
     q.set_defaults(func=_cmd_couple_imagecharge)
 
     q = csub.add_parser("larmor", help="electron Larmor frequency")
     _add_common(q, substances=False)
-    q.add_argument("--b-field", type=float, required=True, help="magnetic field in T")
+    q.add_argument("--b-field", type=finite, required=True, help="magnetic field in T")
     q.set_defaults(func=_cmd_couple_larmor)
 
     q = csub.add_parser("strong", help="strong-coupling test g > kappa, gamma")
     _add_common(q, substances=False)
-    q.add_argument("--g", type=float, required=True, help="coupling in MHz")
-    q.add_argument("--kappa", type=float, required=True, help="resonator decay in MHz")
-    q.add_argument("--gamma-rate", type=float, required=True, help="qubit linewidth in MHz")
+    q.add_argument("--g", type=finite, required=True, help="coupling in MHz")
+    q.add_argument("--kappa", type=finite, required=True, help="resonator decay in MHz")
+    q.add_argument("--gamma-rate", type=finite, required=True, help="qubit linewidth in MHz")
     q.set_defaults(func=_cmd_couple_strong)
 
     return parser

@@ -26,10 +26,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
-from scipy.special import expit
-
 from .units import BOHR_CM, HARTREE_EV, HARTREE_K
 
 _AB2_CM2 = BOHR_CM**2          # cm^2 per Bohr-radius^2
@@ -80,14 +76,22 @@ def chemical_potential(n_cm2: float, t_k: float) -> float:
 def _f1(eta: float) -> float:
     """First-order Fermi-Dirac integral: int_0^inf x/(exp(x-eta)+1) dx.
 
-    Adaptive quadrature; the integrand x*expit(eta - x) is finite and
-    smooth in both the degenerate (eta >> 1) and classical (eta << 0)
-    regimes.  Beyond eta + 50 the tail is below 1e-20 relative.
+    For eta > 0 the exact reflection F1(eta) = eta^2/2 + pi^2/6 - F1(-eta)
+    is used, so quadrature only ever sees the classical side eta <= 0,
+    where the integrand x*expit(eta - x) is smooth and below 1e-20 relative
+    beyond x = 50.  Integrating the Fermi step at x = eta directly loses it
+    between quadrature nodes once eta is in the thousands, with an error
+    estimate that does not show it.
     """
-    hi = max(eta, 0.0) + 50.0
-    pts = [eta] if 0.0 < eta < hi else None
-    val, err = quad(lambda x: x * expit(eta - x), 0.0, hi,
-                    points=pts, limit=200, epsabs=0.0, epsrel=1e-11)
+    # imported here so that commands which never evaluate Gamma skip loading scipy
+    from scipy.integrate import quad
+    from scipy.special import expit
+
+    classical = -abs(eta)
+    val, err = quad(lambda x: x * expit(classical - x), 0.0, 50.0,
+                    limit=200, epsabs=0.0, epsrel=1e-11)
+    if eta > 0.0:
+        val = 0.5 * eta * eta + math.pi**2 / 6.0 - val
     if err > _QUAD_RTOL * abs(val):
         raise ConvergenceError(
             f"kinetic-energy quadrature reached {err / abs(val):.1e} relative, "
@@ -184,6 +188,8 @@ def _classical_root_cm2(gamma0: float, t_k: float) -> float:
 
 def _gamma_peak(gamma0: float, t_k: float) -> tuple[float, float]:
     """(max over n of Gamma(n, T), argmax n in cm^-2), searched on log n."""
+    from scipy.optimize import minimize_scalar
+
     lo = math.log(_classical_root_cm2(gamma0, t_k) / 10.0)
     hi = math.log(quantum_critical_density(gamma0) * 10.0)
     res = minimize_scalar(lambda ln: -plasma_parameter(math.exp(ln), t_k),

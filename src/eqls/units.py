@@ -19,10 +19,8 @@ Constants, frozen at CODATA 2018:
 
 Derived combinations used throughout:
 
-    e^2 (Gaussian)  = Hartree * a_B    = 14.399645 eV Angstrom
     hbar^2 / m_e    = Hartree * a_B^2  = 7.6199682 eV Angstrom^2
     Hartree / k_B   = 315775.02 K
-    Hartree / h     = 6579.6839 THz
 
 Temperatures are treated as thermal-equivalent energies (via k_B) and
 frequencies as photon-equivalent energies (via h); converting between any
@@ -37,9 +35,7 @@ from enum import Enum
 # --- fundamental constants (SI) ---
 PLANCK_J_S = 6.62607015e-34
 HBAR_J_S = 1.054571817e-34
-ELEMENTARY_CHARGE_C = 1.602176634e-19
 ELECTRON_MASS_KG = 9.1093837015e-31
-BOLTZMANN_J_PER_K = 1.380649e-23
 BOHR_MAGNETON_J_PER_T = 9.2740100783e-24
 AMU_KG = 1.66053906660e-27
 
@@ -52,12 +48,9 @@ ELECTRON_MASS_AMU = 5.48579909065e-4
 AMU_PER_ELECTRON_MASS = 1822.888486209
 
 # --- derived, defined once so every module agrees bit-for-bit ---
-E2_EV_ANGSTROM = HARTREE_EV * BOHR_ANGSTROM            # Gaussian e^2
 HBAR2_OVER_ME_EV_A2 = HARTREE_EV * BOHR_ANGSTROM**2    # hbar^2/m_e
 HARTREE_K = HARTREE_EV / BOLTZMANN_EV_PER_K
-HARTREE_THZ = HARTREE_EV / (PLANCK_EV_S * 1e12)
 BOHR_CM = BOHR_ANGSTROM * 1e-8
-ATOMIC_FIELD_V_PER_M = HARTREE_EV / (BOHR_ANGSTROM * 1e-10)
 
 
 class Unit(Enum):

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import IO, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .units import BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, PLANCK_EV_S
 
@@ -263,6 +262,9 @@ def _count_nodes(psi: np.ndarray) -> int:
 
 def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
     """Lowest `count` eigenpairs in (eV, psi with sum psi^2 h = 1)."""
+    # imported here so that commands which never solve skip loading scipy
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     h_au = grid.h_A / BOHR_ANGSTROM
     diag = 1.0 / h_au**2 + v_ev / HARTREE_EV
     off = np.full(grid.points - 1, -0.5 / h_au**2)

@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import eqls
 from eqls.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -240,3 +242,36 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "classical Coulomb liquid"
+
+    @pytest.mark.parametrize("argv, option", [
+        (["couple", "larmor", "--b-field", "nan"], "--b-field"),
+        (["couple", "strong", "--g", "nan", "--kappa", "0.1", "--gamma-rate", "1.7"],
+         "--g"),
+        (["classify", "--density", "1e9", "--temperature", "inf"], "--temperature"),
+        (["phase-diagram", "--gamma0", "inf"], "--gamma0"),
+    ], ids=["b-field-nan", "g-nan", "temperature-inf", "gamma0-inf"])
+    def test_non_finite_number_exits_2_naming_option(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"argument {option}: not a finite number" in err
+        assert "Traceback" not in err
+
+    def test_scipy_loaded_only_by_commands_that_use_it(self):
+        script = """
+import sys
+def scipy_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "scipy"}
+import eqls
+from eqls.cli import main
+assert not scipy_modules(), sorted(scipy_modules())
+assert main(["couple", "larmor", "--b-field", "1"]) == 0
+assert main(["table1"]) == 0
+assert not scipy_modules(), sorted(scipy_modules())
+assert main(["states", "--substance", "4He"]) == 0
+assert "scipy.linalg" in sys.modules
+assert not {"scipy.integrate", "scipy.optimize"} & scipy_modules(), sorted(scipy_modules())
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(eqls.__file__).parents[1])})
+        assert proc.returncode == 0, proc.stderr

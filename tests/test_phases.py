@@ -90,13 +90,15 @@ class TestKineticEnergy:
         n = n_for_ratio(1e3)
         assert abs(kinetic_energy(n, 1.0) / (fermi_energy(n) / 2) - 1.0) < 1e-3
 
-    def test_midpoint_dilogarithm_closed_form(self):
-        # K_e = (kT)^2/E_F * (-Li2(-e^(mu/kT))); at E_F = kT the argument
-        # is -(e - 1)
-        n = n_for_ratio(1.0)
-        expected = float(-mpmath.polylog(2, -(math.e - 1.0))) * BOLTZMANN_EV_PER_K
-        assert kinetic_energy(n, 1.0) == pytest.approx(expected, rel=1e-6)
-        assert expected / BOLTZMANN_EV_PER_K == pytest.approx(1.2775046, rel=1e-6)
+    @pytest.mark.parametrize("ratio", [1.0, 1e4, 3e4, 1e5])
+    def test_midpoint_dilogarithm_closed_form(self, ratio):
+        # K_e = (kT)^2/E_F * (-Li2(-e^(mu/kT))) with e^(mu/kT) = e^(E_F/kT) - 1;
+        # at E_F = kT the argument is -(e - 1)
+        n = n_for_ratio(ratio)
+        li2 = -mpmath.polylog(2, 1 - mpmath.exp(ratio))
+        expected = float(li2 / ratio) * BOLTZMANN_EV_PER_K
+        assert kinetic_energy(n, 1.0) == pytest.approx(expected, rel=1e-9)
+        assert float(-mpmath.polylog(2, 1 - mpmath.e)) == pytest.approx(1.2775046, rel=1e-6)
 
     @pytest.mark.parametrize("t_k", [0.1, 1.0, 5.0, 20.0])
     def test_monotonic_in_density(self, t_k):

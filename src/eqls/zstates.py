@@ -15,6 +15,18 @@ Dirichlet ends, using second-order centered differences.  The lowest
 eigenpairs of the tridiagonal Hamiltonian are obtained by Sturm-sequence
 bisection plus inverse iteration (LAPACK stebz/stein).
 
+Where nearby energies are already known, bisection is skipped: the
+halved grid of the convergence report starts from the base energies,
+each Richardson level from the one before, and each Stark field from the
+previous field's ground state.  `_refine` runs inverse iteration at those
+seeds and one Rayleigh-quotient step, then certifies the result: every
+residual r bounds the distance to an eigenvalue, the intervals rho +- r
+are disjoint, one Sturm count finds no other eigenvalue below the top one
+(plus a gap g), and each r^2/gap is within bisection's own accuracy
+4 eps |T|.  Where any of this fails, the solve falls back to bisection, so
+every energy is either certified or computed by bisection.  Every solve
+without a seed (each spectrum's base grid, the first Stark field) bisects.
+
 Default grids place z = 0 exactly midway between two nodes.  With the
 potential step between nodes, every grid cell lies on a single branch of
 the piecewise potential and the eigenvalue error stays O(h^2); a node
@@ -39,6 +51,12 @@ from .units import BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, PLANCK_EV_S
 # Stand-in for a hard wall; penetration depth at 1 MeV is ~0.002 A, far
 # below any grid spacing used here.
 INFINITE_BARRIER_EV = 1.0e6
+
+# Largest grid any solve may build, checked before anything is allocated.
+# Memory grows as points x levels.  The convergence report's halving doubles
+# the points, so a reported solve takes base grids up to half of this: the
+# default grids of up to 27 levels (40 without a report).
+MAX_GRID_POINTS = 1 << 20
 
 # Outer/inner fractions of the domain used to detect box-artifact states.
 _EDGE_FRACTION = 0.1
@@ -117,6 +135,10 @@ class GridSpec:
             raise ValueError("grid must satisfy z_min < 0 < z_max")
         if self.points < 3:
             raise ValueError("grid needs at least 3 points")
+        if self.points > MAX_GRID_POINTS:
+            raise ValueError(f"grid needs more than the cap of {MAX_GRID_POINTS} "
+                             f"points; use a coarser spacing, a smaller extent or "
+                             f"fewer levels")
 
     @property
     def h_A(self) -> float:
@@ -277,6 +299,87 @@ def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
     return w * HARTREE_EV, vecs / math.sqrt(grid.h_A)
 
 
+def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev):
+    """Lowest `len(seeds_ev)` eigenpairs near the seed energies, certified.
+
+    Same (eV, psi with sum psi^2 h = 1) form as `_eigensolve`.  Inverse
+    iteration (stein) at the seeds, then one Rayleigh-quotient step per
+    vector (gtsv).  Rayleigh quotient and residual use differences of psi,
+    so the 1/h^2 diagonal never cancels.  The pairs are certified as the
+    lowest ones to within the bisection accuracy acc = 4 eps |T|_1: every
+    interval rho_k +- r_k holds an eigenvalue, the intervals are disjoint,
+    one Sturm count (stebz) finds exactly m eigenvalues below rho_top + g,
+    and each r^2/gap is at most acc.  Raises SolverError otherwise.
+    """
+    from scipy.linalg.lapack import dgtsv, dstebz, dstein
+
+    n, m = grid.points, len(seeds_ev)
+    kin = 0.5 * (BOHR_ANGSTROM / grid.h_A) ** 2
+    pot = v_ev / HARTREE_EV
+    diag = 2.0 * kin + pot
+    off = np.full(n - 1, -kin)
+    acc = 4.0 * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * kin)
+    iblock = np.ones(n, dtype=np.int32)
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    seeds = np.asarray(seeds_ev, dtype=float) / HARTREE_EV
+
+    def quotient(psi):
+        """Rayleigh quotient of a unit vector, and its differences."""
+        dpsi = np.diff(psi, prepend=0.0, append=0.0)
+        return kin * float(dpsi @ dpsi) + float((pot * psi) @ psi), dpsi
+
+    vecs = np.empty((n, m), order="F")
+    rho = np.empty(m)
+    r = np.empty(m)
+    for k in range(m):
+        # one seed per call: given several, stein reorthogonalizes every pair
+        # closer than 1e-3 |T| (all bound states here) through BLAS, which
+        # ran up to 20x slower under a multi-threaded BLAS
+        col, info = dstein(diag, off, seeds[k:k + 1], iblock, isplit)
+        if info != 0:
+            raise SolverError(f"inverse iteration at seed {k} failed (info {info})")
+        shift, _ = quotient(col[:, 0])
+        *_, col, info = dgtsv(off, diag - shift, off, col, overwrite_b=1)
+        norm = float(np.linalg.norm(col))
+        if info != 0 or not math.isfinite(norm) or norm == 0.0:
+            raise SolverError(f"Rayleigh step for state {k} failed (info {info})")
+        psi = vecs[:, k]
+        np.divide(col[:, 0], norm, out=psi)
+        rho[k], dpsi = quotient(psi)
+        # the residual, plus a rounding allowance for evaluating it
+        r[k] = float(np.linalg.norm((pot - rho[k]) * psi - kin * np.diff(dpsi))) + acc
+    lower = rho - r
+    upper = rho + r
+    if not np.all(np.isfinite(upper)) or np.any(upper[:-1] >= lower[1:]):
+        raise SolverError("refined intervals are not finite, disjoint and ascending")
+    g = 2.0 * max(r[-1], r[-1] ** 2 / acc)     # so that r_top^2 / g <= acc / 2
+    top = rho[-1] + g
+    if not math.isfinite(top):
+        raise SolverError("refined residual too large to certify")
+    bottom = float(np.min(pot)) - 1.0      # below min(V), the Gershgorin bound
+    found, *_, info = dstebz(diag, off, 1, bottom, top, 0, 0, 2.0 * (top - bottom), b"B")
+    if info != 0 or found != m:
+        raise SolverError(f"Sturm count below the top refined level is {found}, not {m}")
+    gap = np.minimum(np.append(lower[1:], top) - rho,
+                     rho - np.insert(upper[:-1], 0, -np.inf))
+    if np.any(r * r > acc * gap):
+        raise SolverError(f"refined levels are not separated enough to certify "
+                          f"(worst r^2/gap {float(np.max(r * r / gap)):.3g} Ha, "
+                          f"allowed {acc:.3g})")
+    vecs /= math.sqrt(grid.h_A)
+    return rho * HARTREE_EV, vecs
+
+
+def _eigensolve_near(grid: GridSpec, v_ev: np.ndarray, seeds_ev):
+    """`_refine`, or bisection where it cannot certify its result."""
+    try:
+        return _refine(grid, v_ev, seeds_ev)
+    except SolverError:
+        pass        # bisect outside the handler, so the traceback frees _refine's arrays
+    return _eigensolve(grid, v_ev, len(seeds_ev))
+
+
 def _is_bound(grid: GridSpec, v_ev: np.ndarray, e_ev: float, psi: np.ndarray) -> bool:
     """Below the potential ceiling at the far wall, and not leaning on a wall."""
     if e_ev >= v_ev[-1]:
@@ -293,18 +396,23 @@ def _is_bound(grid: GridSpec, v_ev: np.ndarray, e_ev: float, psi: np.ndarray) ->
     return True
 
 
-def _refined_profile(profile: PotentialProfile) -> tuple[PotentialProfile, str]:
-    g = profile.grid
-    fine = surface_grid(g.z_min_A, g.z_max_A, g.h_A / 2.0)
+def _halved(grid: GridSpec) -> GridSpec:
+    """Half the spacing over the same extent (z = 0 still midway between nodes)."""
+    return surface_grid(grid.z_min_A, grid.z_max_A, grid.h_A / 2.0)
+
+
+def _refined_profile(profile: PotentialProfile,
+                     fine: GridSpec) -> tuple[PotentialProfile, str]:
     if profile.source is not None:
         return build_potential(profile.source, fine), ""
-    v = np.interp(fine.nodes(), g.nodes(), profile.samples_ev)
+    v = np.interp(fine.nodes(), profile.grid.nodes(), profile.samples_ev)
     return (PotentialProfile(fine, v, profile.asymptote_ev),
             "refined potential linearly interpolated from samples")
 
 
 def solve_bound_states(profile: PotentialProfile, count: int,
-                       report_convergence: bool = True) -> SolveResult:
+                       report_convergence: bool = True, *,
+                       _seeds_ev=None) -> SolveResult:
     """The `count` lowest bound states of a sampled profile.
 
     States are strictly ascending in energy, normalized to 1e-8 or better,
@@ -312,11 +420,18 @@ def solve_bound_states(profile: PotentialProfile, count: int,
     with negligible weight on either grid wall; eigenstates that fail
     (box artifacts of the finite domain) are dropped and reported via
     `shortfall`.  A convergence report from one grid halving is attached
-    unless `report_convergence` is false.
+    unless `report_convergence` is false; the halved grid is refined from
+    the base energies (`_refine`).  `_seeds_ev` (private, one energy in eV
+    per state) lets `stark_scan` refine the base solve from a nearby one.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    energies, vecs = _eigensolve(profile.grid, profile.samples_ev, count)
+    # built first, so that a halving grid over the point cap fails before any solve
+    fine = _halved(profile.grid) if report_convergence else None
+    if _seeds_ev is None:
+        energies, vecs = _eigensolve(profile.grid, profile.samples_ev, count)
+    else:
+        energies, vecs = _eigensolve_near(profile.grid, profile.samples_ev, _seeds_ev)
     z = profile.grid.nodes()
     states = []
     warnings = list(profile.warnings)
@@ -333,18 +448,23 @@ def solve_bound_states(profile: PotentialProfile, count: int,
         zbar = float(np.sum(z * psi**2) * h) / 10.0
         states.append(BoundState(float(energies[k]) * 1e3, z, psi, nodes, zbar))
     report = None
-    if report_convergence:
-        fine_profile, note = _refined_profile(profile)
+    if fine is not None:
+        fine_profile, note = _refined_profile(profile, fine)
+        notes = [note] if note else []
+        change = ()
         try:
-            fine_e, _ = _eigensolve(fine_profile.grid, fine_profile.samples_ev,
-                                    max(1, len(states)))
+            fine_e, _ = _eigensolve_near(fine, fine_profile.samples_ev,
+                                         energies[:max(1, len(states))])
             change = tuple((states[k].energy_mev - float(fine_e[k]) * 1e3)
                            for k in range(len(states)))
-            report = ConvergenceReport(profile.grid.h_A, fine_profile.grid.h_A,
-                                       change, note)
         except SolverError:
-            report = ConvergenceReport(profile.grid.h_A, fine_profile.grid.h_A,
-                                       (), "refined solve failed")
+            notes.append("refined solve failed")
+        source = profile.source
+        if isinstance(source, RegularizedImage) and source.b_A < profile.grid.h_A:
+            notes.append(f"cutoff b = {source.b_A:.3g} A is below the grid spacing "
+                         f"h = {profile.grid.h_A:.3g} A, so the halving change "
+                         f"under-reports the error")
+        report = ConvergenceReport(profile.grid.h_A, fine.h_A, change, "; ".join(notes))
     return SolveResult(tuple(states), count, count - len(states), report,
                        tuple(warnings))
 
@@ -367,14 +487,18 @@ def transition(states: "list[BoundState] | tuple[BoundState, ...]",
 
 def richardson_energies(spec: PotentialSpec, grid: GridSpec,
                         halvings: int = 3, state: int = 0) -> list[float]:
-    """Ground (or `state`) energies in meV at h, h/2, ..., h/2^halvings."""
-    out = []
-    g = grid
-    for _ in range(halvings + 1):
-        profile = build_potential(spec, g)
-        e, _ = _eigensolve(g, profile.samples_ev, state + 1)
+    """Ground (or `state`) energies in meV at h, h/2, ..., h/2^halvings.
+
+    Each halved grid is refined from the levels of the one before (`_refine`).
+    """
+    profile = build_potential(spec, grid)
+    e, _ = _eigensolve(grid, profile.samples_ev, state + 1)
+    out = [float(e[state]) * 1e3]
+    for _ in range(halvings):
+        grid = _halved(grid)
+        profile = build_potential(spec, grid)
+        e, _ = _eigensolve_near(grid, profile.samples_ev, e)
         out.append(float(e[state]) * 1e3)
-        g = surface_grid(g.z_min_A, g.z_max_A, g.h_A / 2.0)
     return out
 
 
@@ -397,20 +521,24 @@ def stark_scan(spec: PotentialSpec, fields_v_per_m: "list[float]",
 
     Fields where no state survives the boundedness checks (e.g. a pulling
     field that opens the barrier) yield a flagged entry, not a failure.
+    Each field after a bound one is refined from that field's ground state.
     """
     if grid is None:
         grid = default_grid(spec)
     out = []
+    seeds = None
     for field in fields_v_per_m:
         if not math.isfinite(field):
             raise ValueError(f"field must be finite, got {field}")
         tilted = dataclasses.replace(spec, pressing_field_v_per_m=field)
         result = solve_bound_states(build_potential(tilted, grid), 1,
-                                    report_convergence=False)
+                                    report_convergence=False, _seeds_ev=seeds)
         if result.states:
             out.append(StarkPoint(field, result.states[0]))
+            seeds = (result.states[0].energy_mev * 1e-3,)
         else:
             out.append(StarkPoint(field, None, "no bound state"))
+            seeds = None
     return out
 
 

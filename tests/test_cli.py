@@ -125,6 +125,14 @@ class TestStates:
         assert len(rows) == 6
         assert [int(r["nodes"]) for r in rows] == list(range(6))
 
+    @pytest.mark.parametrize("argv", [["--levels", "100"], ["--grid-h", "1e-4"]])
+    def test_grid_over_the_point_cap_exits_2(self, capsys, argv):
+        # rejected while the grid is planned, before anything is allocated
+        code, out, err = run(capsys, "states", "--substance", "liquid 4He", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: grid needs more than the cap")
+
     def test_shortfall_noted_on_stderr_for_truncated_grid(self, capsys):
         # capping the domain by hand cuts off the upper states
         code, out, err = run(capsys, "states", "--substance", "liquid 4He",

@@ -1,11 +1,14 @@
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqls import zstates
-from eqls.units import BOHR_ANGSTROM
+from eqls.units import BOHR_ANGSTROM, HARTREE_EV
 from eqls.zstates import (
     GridSpec,
     InfiniteBarrierImage,
@@ -21,8 +24,22 @@ from eqls.zstates import (
     transition,
 )
 
+from conftest import solve_surface
+
 HE_SPEC = RegularizedImage(v0_ev=1.1, eps_r=1.056, b_A=0.62)
 NE_SPEC = RegularizedImage(v0_ev=0.7, eps_r=1.244, b_A=0.38)
+
+# the acceptance grid for check 3's potential: b = 1e-3 A is far below h
+SCALE_1244 = BOHR_ANGSTROM / zstates.hydrogenic_charge(1.244)
+UNRESOLVED_B_SPEC = RegularizedImage(v0_ev=50.0, eps_r=1.244, b_A=1e-3)
+UNRESOLVED_B_GRID = surface_grid(-20.0, 30.0 * SCALE_1244, SCALE_1244 / 800.0)
+
+
+def bisection_bound_ev(grid, v_ev):
+    """4 eps |T|_1 of the finite-difference Hamiltonian on `grid`, in eV."""
+    kin = 0.5 * (BOHR_ANGSTROM / grid.h_A) ** 2
+    t_norm = np.max(np.abs(2.0 * kin + v_ev / HARTREE_EV)) + 2.0 * kin
+    return 4.0 * np.finfo(float).eps * t_norm * HARTREE_EV
 
 
 class TestGrid:
@@ -35,6 +52,38 @@ class TestGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, 2)
+
+    def test_point_cap_is_checked_before_allocation(self):
+        GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS)      # holds three numbers only
+        with pytest.raises(ValueError, match="cap"):
+            GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS + 1)
+        with pytest.raises(ValueError, match="cap"):
+            default_grid(HE_SPEC, levels=100)               # about 6.2M nodes
+        with pytest.raises(ValueError, match="cap"):
+            surface_grid(-20.0, 2300.0, 1e-4)
+
+    def test_halving_over_the_cap_fails_before_the_solve(self):
+        # the samples are never read: the halved grid is checked first
+        grid = GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS // 2 + 1)
+        profile = zstates.PotentialProfile(grid, np.zeros(3), 0.0)
+        with pytest.raises(ValueError, match="cap"):
+            solve_bound_states(profile, 1)
+
+    def test_every_grid_used_here_fits_with_its_halving(self):
+        grids = [default_grid(spec, levels)
+                 for spec in (RegularizedImage(1.0, 1.02, 0.5), HE_SPEC, NE_SPEC,
+                              RegularizedImage(1.0, 1.4, 0.5), InfiniteBarrierImage(1.02))
+                 for levels in range(1, 7)]
+        grids.append(default_grid(Interface(0.5, 0.8, 1.2, 0.5)))
+        for eps in (1.02, 1.056, 1.244):
+            scale = BOHR_ANGSTROM / zstates.hydrogenic_charge(eps)
+            grids.append(surface_grid(-20.0, 30.0 * scale, scale / 1600.0))
+        richardson = default_grid(HE_SPEC)
+        for _ in range(3):
+            richardson = zstates._halved(richardson)
+        grids.append(richardson)
+        for grid in grids:
+            assert zstates._halved(grid).points <= zstates.MAX_GRID_POINTS
 
     def test_surface_grid_straddles_zero_between_nodes(self):
         g = surface_grid(-20.0, 100.0, 0.37)
@@ -234,12 +283,118 @@ class TestSolveBoundStates:
         assert "interpolated" in result.convergence.note
 
 
+class TestConvergenceNote:
+    def test_cutoff_below_grid_spacing_is_noted(self):
+        # one halving changes E1 by 0.014 meV, but the error against the
+        # exact level is 0.039 meV: the O(h^2) reading under-reports it
+        result = solve_bound_states(build_potential(UNRESOLVED_B_SPEC, UNRESOLVED_B_GRID), 1)
+        assert UNRESOLVED_B_SPEC.b_A < UNRESOLVED_B_GRID.h_A
+        assert "below the grid spacing" in result.convergence.note
+
+    def test_bundled_surfaces_carry_no_note(self, registry):
+        for surface in registry.surfaces:
+            result = solve_surface(surface)
+            assert surface.scattering_length_A >= 1.2 * result.convergence.h_A
+            assert result.convergence.note == ""
+
+    def test_note_is_joined_to_an_earlier_one(self, monkeypatch):
+        def fail(*args):
+            raise zstates.SolverError("forced")
+
+        monkeypatch.setattr(zstates, "_eigensolve_near", fail)
+        result = solve_bound_states(build_potential(UNRESOLVED_B_SPEC, UNRESOLVED_B_GRID), 1)
+        first, second = result.convergence.note.split("; ")
+        assert first == "refined solve failed"
+        assert "below the grid spacing" in second
+        assert result.convergence.energy_change_mev == ()
+
+
+class TestRefine:
+    """Seeded, certified refinement against bisection on the same grid."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0),
+           b=st.floats(0.05, 2.0), levels=st.integers(1, 6))
+    def test_matches_bisection_on_the_halved_grid(self, eps, v0, b, levels):
+        spec = RegularizedImage(v0_ev=v0, eps_r=eps, b_A=b)
+        coarse = build_potential(spec, default_grid(spec, levels))
+        seeds, _ = zstates._eigensolve(coarse.grid, coarse.samples_ev, levels)
+        fine = build_potential(spec, zstates._halved(coarse.grid))
+        exact, exact_psi = zstates._eigensolve(fine.grid, fine.samples_ev, levels)
+        energies, psi = zstates._refine(fine.grid, fine.samples_ev, seeds)
+        h = fine.grid.h_A
+        assert np.max(np.abs(energies - exact)) <= bisection_bound_ev(fine.grid,
+                                                                      fine.samples_ev)
+        assert np.sum(psi**2, axis=0) * h == pytest.approx(np.ones(levels), abs=1e-12)
+        assert np.abs(np.sum(psi * exact_psi, axis=0)) * h == pytest.approx(
+            np.ones(levels), abs=1e-8)
+
+    def test_uncertified_result_falls_back_to_bisection(self):
+        # an interface pocket whose halved-grid ground state lies 145 meV
+        # below the coarse one: inverse iteration at the coarse energy does
+        # not reach it, and the Sturm count rejects what it does reach
+        spec = Interface(v_barrier_below_ev=0.722149, v_barrier_above_ev=1.13555,
+                         eps_r_below=1.31331, zeta_A=0.655533)
+        profile = build_potential(spec)
+        result = solve_bound_states(profile, 1)
+        coarse = result.states[0].energy_mev
+        fine = build_potential(spec, zstates._halved(profile.grid))
+        with pytest.raises(zstates.SolverError):
+            zstates._refine(fine.grid, fine.samples_ev, [coarse * 1e-3])
+        exact, _ = zstates._eigensolve(fine.grid, fine.samples_ev, 1)
+        assert coarse == pytest.approx(-13.64, abs=0.01)
+        assert exact[0] * 1e3 == pytest.approx(-158.73, abs=0.01)
+        assert result.convergence.energy_change_mev == (coarse - float(exact[0]) * 1e3,)
+
+    def test_seed_at_the_second_level_does_not_return_it_as_ground(self):
+        profile = build_potential(HE_SPEC)
+        two, _ = zstates._eigensolve(profile.grid, profile.samples_ev, 2)
+        with pytest.raises(zstates.SolverError):
+            zstates._refine(profile.grid, profile.samples_ev, two[1:])
+        ground, _ = zstates._eigensolve(profile.grid, profile.samples_ev, 1)
+        result = solve_bound_states(profile, 1, report_convergence=False,
+                                    _seeds_ev=two[1:])
+        assert result.states[0].energy_mev == float(ground[0]) * 1e3
+        assert result.states[0].node_count == 0
+
+    def test_two_seeds_on_one_level_are_rejected(self):
+        profile = build_potential(NE_SPEC, default_grid(NE_SPEC, 3))
+        levels, _ = zstates._eigensolve(profile.grid, profile.samples_ev, 3)
+        with pytest.raises(zstates.SolverError):
+            zstates._refine(profile.grid, profile.samples_ev,
+                            [levels[0], levels[0] * 0.999, levels[2]])
+
+    def test_halving_report_matches_bisection(self, registry):
+        for surface in registry.surfaces:
+            spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
+                                    surface.scattering_length_A)
+            profile = build_potential(spec)
+            result = solve_bound_states(profile, 2)
+            fine = build_potential(spec, zstates._halved(profile.grid))
+            exact, _ = zstates._eigensolve(fine.grid, fine.samples_ev, 2)
+            bound = bisection_bound_ev(fine.grid, fine.samples_ev) * 1e3
+            for k, change in enumerate(result.convergence.energy_change_mev):
+                expected = result.states[k].energy_mev - float(exact[k]) * 1e3
+                assert abs(change - expected) <= bound
+
+
 class TestRichardson:
     def test_second_order_convergence(self):
         energies = zstates.richardson_energies(HE_SPEC, default_grid(HE_SPEC),
                                                halvings=2)
         for ratio in zstates.richardson_ratios(energies):
             assert 3.5 <= ratio <= 4.5
+
+    def test_levels_match_bisection(self):
+        energies = zstates.richardson_energies(NE_SPEC, default_grid(NE_SPEC),
+                                               halvings=2, state=1)
+        grid = default_grid(NE_SPEC)
+        for level in energies:
+            profile = build_potential(NE_SPEC, grid)
+            exact, _ = zstates._eigensolve(grid, profile.samples_ev, 2)
+            bound = bisection_bound_ev(grid, profile.samples_ev) * 1e3
+            assert abs(level - float(exact[1]) * 1e3) <= bound
+            grid = zstates._halved(grid)
 
 
 class TestTransition:
@@ -298,6 +453,35 @@ class TestStarkScan:
     def test_rejects_non_finite_field(self):
         with pytest.raises(ValueError):
             stark_scan(HE_SPEC, [math.inf])
+
+    def test_matches_independent_solves(self, monkeypatch):
+        refined = []
+        refine = zstates._refine
+
+        def counted(*args):
+            out = refine(*args)
+            refined.append(out)
+            return out
+
+        monkeypatch.setattr(zstates, "_refine", counted)
+        fields = [0.0, 2e3, 5e3, 1e4, -1e6, 2e4, 3e4, 1e5]
+        grid = default_grid(HE_SPEC)
+        points = stark_scan(HE_SPEC, fields, grid)
+        # 0 and 2e4 V/m have no bound predecessor to start from; -1e6 and 1e5
+        # lie too far from theirs to certify and fall back to bisection
+        assert len(refined) == 4
+        for point in points:
+            tilted = dataclasses.replace(HE_SPEC, pressing_field_v_per_m=point.field_v_per_m)
+            profile = build_potential(tilted, grid)
+            alone = solve_bound_states(profile, 1, report_convergence=False)
+            if not alone.states:
+                assert point.state is None
+                continue
+            bound = bisection_bound_ev(grid, profile.samples_ev) * 1e3
+            assert abs(point.state.energy_mev - alone.states[0].energy_mev) <= bound
+            assert point.state.node_count == 0
+            assert point.state.mean_z_nm == pytest.approx(alone.states[0].mean_z_nm,
+                                                          rel=1e-9)
 
 
 class TestWavefunctionDump:

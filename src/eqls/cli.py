@@ -90,11 +90,11 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(args, columns, rows, md_formats=None, extra_json=None) -> None:
+def _emit_table(args, columns, rows, md_formats=None) -> None:
     if args.format == "csv":
         _emit(args, _render_csv(columns, rows))
     elif args.format == "json":
-        _emit(args, _render_json(columns, rows, extra_json))
+        _emit(args, _render_json(columns, rows))
     else:
         _emit(args, _render_md(columns, rows, md_formats))
 
@@ -239,15 +239,20 @@ def _cmd_phase_diagram(args) -> int:
     if args.verbose:
         print(f"tracing melting curve at {args.points} temperatures ...", file=sys.stderr)
     curve = phases.melting_curve(args.gamma0, temps)
+    columns = ["T_K", "n_c1_cm2", "n_c2_cm2"]
+    rows = [{"T_K": t, "n_c1_cm2": a, "n_c2_cm2": b}
+            for t, a, b in zip(curve.temperatures_k, curve.n_c1_cm2, curve.n_c2_cm2)]
+    c = curve.critical
+    critical = {"T_c_K": c.t_c_k, "n_c_cm2": c.n_c_cm2, "n_star_cm2": c.n_star_cm2}
     if args.format == "csv":
-        _emit(args, phases.render_curve_csv(curve))
+        summary = " ".join(f"{k}={_sci(v)}" for k, v in critical.items())
+        _emit(args, _render_csv(columns, rows) + f"# {summary}\n")
     elif args.format == "json":
-        _emit(args, json.dumps(phases.curve_as_dict(curve), indent=2) + "\n")
+        _emit(args, _render_json(columns, rows, {
+            "gamma0": curve.gamma0,
+            "critical": {k: _json_num(v) for k, v in critical.items()}}))
     else:
-        rows = [{"T_K": t, "n_c1_cm2": a, "n_c2_cm2": b}
-                for t, a, b in zip(curve.temperatures_k, curve.n_c1_cm2, curve.n_c2_cm2)]
-        c = curve.critical
-        text = _render_md(["T_K", "n_c1_cm2", "n_c2_cm2"], rows,
+        text = _render_md(columns, rows,
                           {"T_K": ".3f", "n_c1_cm2": ".4g", "n_c2_cm2": ".4g"})
         text += (f"\ncritical point: T_c = {c.t_c_k:.3g} K, "
                  f"n_c = {c.n_c_cm2:.3g} cm^-2, n* = {c.n_star_cm2:.3g} cm^-2\n")

@@ -307,35 +307,3 @@ def melting_curve(gamma0: float, temperatures_k: "list[float]") -> MeltingCurve:
     summary = CriticalSummary(t_c, n_c, quantum_critical_density(gamma0))
     return MeltingCurve(gamma0, tuple(temps), tuple(n1), tuple(n2), summary)
 
-
-def render_curve_csv(curve: MeltingCurve) -> str:
-    """CSV export: header row, one row per T, then a '#' summary line."""
-    lines = ["T_K,n_c1_cm2,n_c2_cm2"]
-    for t, a, b in zip(curve.temperatures_k, curve.n_c1_cm2, curve.n_c2_cm2):
-        ca = "" if a is None else f"{a:.6e}"
-        cb = "" if b is None else f"{b:.6e}"
-        lines.append(f"{t:.6e},{ca},{cb}")
-    c = curve.critical
-    lines.append(f"# T_c_K={c.t_c_k:.6e} n_c_cm2={c.n_c_cm2:.6e} n_star_cm2={c.n_star_cm2:.6e}")
-    return "\n".join(lines) + "\n"
-
-
-def curve_as_dict(curve: MeltingCurve) -> dict:
-    """JSON mirror of the CSV export (same values at the same precision)."""
-    rows = []
-    for t, a, b in zip(curve.temperatures_k, curve.n_c1_cm2, curve.n_c2_cm2):
-        rows.append({
-            "T_K": float(f"{t:.6e}"),
-            "n_c1_cm2": None if a is None else float(f"{a:.6e}"),
-            "n_c2_cm2": None if b is None else float(f"{b:.6e}"),
-        })
-    c = curve.critical
-    return {
-        "gamma0": curve.gamma0,
-        "rows": rows,
-        "critical": {
-            "T_c_K": float(f"{c.t_c_k:.6e}"),
-            "n_c_cm2": float(f"{c.n_c_cm2:.6e}"),
-            "n_star_cm2": float(f"{c.n_star_cm2:.6e}"),
-        },
-    }

@@ -13,6 +13,9 @@ from eqls.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+TWO_POINT_CURVE = ("phase-diagram", "--gamma0", "127", "--t-min", "1", "--t-max", "20",
+                   "--points", "2")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -196,6 +199,32 @@ class TestPhaseDiagram:
         code, _, err = run(capsys, "phase-diagram", "--gamma0", "127",
                            "--t-min", "5", "--t-max", "1")
         assert code == 2 and "t-min" in err
+
+    def test_csv_layout(self, capsys):
+        code, out, _ = run(capsys, *TWO_POINT_CURVE, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "T_K,n_c1_cm2,n_c2_cm2"
+        assert lines[2] == "2.000000e+01,,"
+        assert lines[-1].startswith("# T_c_K=")
+
+    def test_json_mirrors_csv_payload(self, capsys):
+        _, out_csv, _ = run(capsys, *TWO_POINT_CURVE, "--format", "csv")
+        _, out_json, _ = run(capsys, *TWO_POINT_CURVE, "--format", "json")
+        doc = json.loads(out_json)
+        assert doc["columns"] == ["T_K", "n_c1_cm2", "n_c2_cm2"]
+        assert doc["gamma0"] == 127.0
+        lines = out_csv.splitlines()
+        for line, row in zip(lines[1:-1], doc["rows"]):
+            cells = line.split(",")
+            assert float(cells[0]) == row["T_K"]
+            for cell, key in zip(cells[1:], ("n_c1_cm2", "n_c2_cm2")):
+                if cell == "":
+                    assert row[key] is None
+                else:
+                    assert float(cell) == row[key]
+        summary = dict(kv.split("=") for kv in lines[-1][2:].split())
+        assert {k: float(v) for k, v in summary.items()} == doc["critical"]
 
 
 class TestCouple:

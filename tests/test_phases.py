@@ -10,7 +10,6 @@ from eqls.phases import (
     classify,
     coulomb_energy,
     critical_point,
-    curve_as_dict,
     electron_gas_point,
     fermi_energy,
     kinetic_energy,
@@ -18,7 +17,6 @@ from eqls.phases import (
     melting_roots,
     plasma_parameter,
     quantum_critical_density,
-    render_curve_csv,
 )
 from eqls.units import BOLTZMANN_EV_PER_K, HARTREE_EV, HARTREE_K
 
@@ -233,11 +231,6 @@ def dome_curve():
     return melting_curve(127.0, [1.0, 4.0, 8.0, 12.0, 15.0, 16.0, 20.0])
 
 
-@pytest.fixture(scope="module")
-def tiny_curve():
-    return melting_curve(127.0, [1.0, 20.0])
-
-
 class TestMeltingCurve:
     @pytest.fixture
     def curve(self, dome_curve):
@@ -284,28 +277,3 @@ class TestMeltingCurve:
         with pytest.raises(ValueError):
             melting_curve(127.0, [-1.0, 1.0])
 
-
-class TestCurveExport:
-    @pytest.fixture
-    def curve(self, tiny_curve):
-        return tiny_curve
-
-    def test_csv_layout(self, curve):
-        text = render_curve_csv(curve)
-        lines = text.splitlines()
-        assert lines[0] == "T_K,n_c1_cm2,n_c2_cm2"
-        assert lines[2] == "2.000000e+01,,"
-        assert lines[-1].startswith("# T_c_K=")
-
-    def test_json_mirrors_csv_payload(self, curve):
-        text = render_curve_csv(curve)
-        doc = curve_as_dict(curve)
-        data_lines = [l for l in text.splitlines()[1:] if not l.startswith("#")]
-        for line, row in zip(data_lines, doc["rows"]):
-            cells = line.split(",")
-            assert float(cells[0]) == row["T_K"]
-            for cell, key in zip(cells[1:], ("n_c1_cm2", "n_c2_cm2")):
-                if cell == "":
-                    assert row[key] is None
-                else:
-                    assert float(cell) == row[key]

@@ -14,15 +14,21 @@ degeneracy 2 built in).  The classical (K_e -> kT) and degenerate
 being pasted together, which is what makes the melting dome smooth
 through the crossover.
 
-Melting: Gamma(n, T) at fixed T rises like sqrt(n) in the classical
-regime and falls like 1/sqrt(n) in the degenerate regime, so
-Gamma = Gamma_0 has zero or two roots n_c1(T) < n_c2(T).  The dome apex
-(T_c, n_c) is the largest T where a solution exists.
+Melting: in Hartree units Gamma * sqrt(kT) = g(x) = x^(3/2) / F1(eta(x))
+depends on n and T only through x = E_F/kT = pi n/kT.  g rises like
+x^(1/2) in the classical regime and falls like x^(-1/2) in the degenerate
+regime, with a single maximum G_MAX at X_PEAK (both computed once with
+mpmath: F1(eta) = -Li2(-e^eta), findroot on g').  So at every T the peak
+of Gamma over n sits at n = X_PEAK kT/pi with height G_MAX/sqrt(kT), and
+Gamma = gamma0 has two roots n_c1(T) < n_c2(T), one on each side of that
+peak, or none.  The dome apex (T_c, n_c) is where the peak height equals
+gamma0: kT_c = (G_MAX/gamma0)^2 and n_c = X_PEAK kT_c/pi.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +39,11 @@ _AB2_CM2 = BOHR_CM**2          # cm^2 per Bohr-radius^2
 DEFAULT_GAMMA0 = 127.0         # classical-melting threshold (Monte Carlo)
 
 _QUAD_RTOL = 1e-8              # contract tolerance for the kinetic integral
+
+X_PEAK = 2.3570770804214027    # E_F/kT at the maximum of Gamma over n at fixed T
+G_MAX = 0.8845013770751479     # that maximum of Gamma * sqrt(kT / Hartree)
+
+_TINY = sys.float_info.min     # smallest normal double
 
 
 class ConvergenceError(RuntimeError):
@@ -64,12 +75,26 @@ def _eta(x: float) -> float:
     return math.log(math.expm1(x))
 
 
-def chemical_potential(n_cm2: float, t_k: float) -> float:
-    """Chemical potential kT*ln(exp(E_F/kT) - 1) in eV."""
+def _in_range(value: float, what: str, *args: float) -> float:
+    """value, if it is a positive normal double; else ValueError naming what.format(*args)."""
+    if not _TINY <= value < math.inf:
+        raise ValueError(what.format(*args) + " is outside the double-precision range")
+    return value
+
+
+def _scales(n_cm2: float, t_k: float) -> tuple[float, float]:
+    """(kT, E_F) in Hartree, with kT and E_F/kT normal doubles."""
     if not n_cm2 > 0 or not t_k > 0:
         raise ValueError("density and temperature must be > 0")
-    kt = _kt_au(t_k)
+    kt = _in_range(_kt_au(t_k), "temperature {:g} K", t_k)
     ef = math.pi * _n_au(n_cm2)
+    _in_range(ef / kt, "density {:g} cm^-2 at temperature {:g} K", n_cm2, t_k)
+    return kt, ef
+
+
+def chemical_potential(n_cm2: float, t_k: float) -> float:
+    """Chemical potential kT*ln(exp(E_F/kT) - 1) in eV."""
+    kt, ef = _scales(n_cm2, t_k)
     return kt * _eta(ef / kt) * HARTREE_EV
 
 
@@ -102,11 +127,10 @@ def _f1(eta: float) -> float:
 
 def kinetic_energy(n_cm2: float, t_k: float) -> float:
     """Mean kinetic energy per electron of the 2D Fermi gas, in eV."""
-    if not n_cm2 > 0 or not t_k > 0:
-        raise ValueError("density and temperature must be > 0")
-    kt = _kt_au(t_k)
-    ef = math.pi * _n_au(n_cm2)
-    return kt * kt / ef * _f1(_eta(ef / kt)) * HARTREE_EV
+    kt, ef = _scales(n_cm2, t_k)
+    return _in_range(kt * kt / ef * _f1(_eta(ef / kt)) * HARTREE_EV,
+                     "the kinetic energy at density {:g} cm^-2 and temperature {:g} K",
+                     n_cm2, t_k)
 
 
 def coulomb_energy(n_cm2: float) -> float:
@@ -178,24 +202,13 @@ def quantum_critical_density(gamma0: float) -> float:
     """Degenerate-limit melting density n* = 4 e^4 m_e^2/(pi hbar^4 gamma0^2), cm^-2."""
     if not gamma0 > 0:
         raise ValueError("gamma0 must be > 0")
-    return 4.0 / (math.pi * gamma0**2) / _AB2_CM2
+    return _in_range(4.0 / math.pi / gamma0 / gamma0 / _AB2_CM2,
+                     "the quantum melting density for gamma0 = {:g}", gamma0)
 
 
 def _classical_root_cm2(gamma0: float, t_k: float) -> float:
     """Classical-limit melting density (Gamma_cl = gamma0), used as a bracket seed."""
     return (gamma0 * _kt_au(t_k)) ** 2 / math.pi / _AB2_CM2
-
-
-def _gamma_peak(gamma0: float, t_k: float) -> tuple[float, float]:
-    """(max over n of Gamma(n, T), argmax n in cm^-2), searched on log n."""
-    from scipy.optimize import minimize_scalar
-
-    lo = math.log(_classical_root_cm2(gamma0, t_k) / 10.0)
-    hi = math.log(quantum_critical_density(gamma0) * 10.0)
-    res = minimize_scalar(lambda ln: -plasma_parameter(math.exp(ln), t_k),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    return -float(res.fun), math.exp(float(res.x))
 
 
 def _bisect_log_n(t_k: float, gamma0: float, ln_a: float, ln_b: float,
@@ -226,17 +239,22 @@ def _bisect_log_n(t_k: float, gamma0: float, ln_a: float, ln_b: float,
 
 
 def melting_roots(gamma0: float, t_k: float) -> tuple[float, float] | None:
-    """The two melting densities (n_c1, n_c2) at T, or None above the dome."""
+    """The two melting densities (n_c1, n_c2) at T, or None above the dome.
+
+    Each root is bisected on its own side of the peak n = X_PEAK kT/pi.
+    """
     if not gamma0 > 0 or not t_k > 0:
         raise ValueError("gamma0 and T must be > 0")
-    peak, n_peak = _gamma_peak(gamma0, t_k)
-    if peak < gamma0:
+    n_peak = _in_range(X_PEAK * _kt_au(t_k) / math.pi / _AB2_CM2,
+                       "the peak density at {:g} K", t_k)
+    if plasma_parameter(n_peak, t_k) < gamma0:
         return None
-    lo = math.log(_classical_root_cm2(gamma0, t_k) / 10.0)
-    hi = math.log(quantum_critical_density(gamma0) * 10.0)
+    where = "the melting-root bracket for gamma0 = {:g} at {:g} K"
+    lo = _in_range(_classical_root_cm2(gamma0, t_k) / 10.0, where, gamma0, t_k)
+    hi = _in_range(quantum_critical_density(gamma0) * 10.0, where, gamma0, t_k)
     ln_peak = math.log(n_peak)
-    return (_bisect_log_n(t_k, gamma0, lo, ln_peak),
-            _bisect_log_n(t_k, gamma0, hi, ln_peak))
+    return (_bisect_log_n(t_k, gamma0, math.log(lo), ln_peak),
+            _bisect_log_n(t_k, gamma0, math.log(hi), ln_peak))
 
 
 @dataclass(frozen=True)
@@ -255,31 +273,15 @@ class MeltingCurve:
     critical: CriticalSummary
 
 
-def critical_point(gamma0: float, rtol: float = 1e-3) -> tuple[float, float]:
-    """Dome apex (T_c in K, n_c in cm^-2): the largest T with a melting solution.
-
-    Bisection on T over max_n Gamma(n, T) - gamma0; the maximum of Gamma
-    falls monotonically with T, so an expanded bracket always closes.
-    """
+def critical_point(gamma0: float) -> tuple[float, float]:
+    """Dome apex (T_c in K, n_c in cm^-2): the T where the peak of Gamma is gamma0."""
     if not gamma0 > 0:
         raise ValueError("gamma0 must be > 0")
-    t_lo = t_hi = 1.0
-    while _gamma_peak(gamma0, t_hi)[0] > gamma0:
-        t_hi *= 2.0
-        if t_hi > 1e6:
-            raise ConvergenceError("no upper temperature bound found for the dome apex")
-    while _gamma_peak(gamma0, t_lo)[0] <= gamma0:
-        t_lo /= 2.0
-        if t_lo < 1e-6:
-            raise ConvergenceError("no lower temperature bound found for the dome apex")
-    while (t_hi - t_lo) > rtol * t_hi:
-        tm = 0.5 * (t_lo + t_hi)
-        if _gamma_peak(gamma0, tm)[0] > gamma0:
-            t_lo = tm
-        else:
-            t_hi = tm
-    t_c = 0.5 * (t_lo + t_hi)
-    return t_c, _gamma_peak(gamma0, t_lo)[1]
+    ratio = G_MAX / gamma0
+    kt_c = _in_range(ratio * ratio, "the dome apex for gamma0 = {:g}", gamma0)
+    n_c = _in_range(X_PEAK * kt_c / math.pi / _AB2_CM2,
+                    "the apex density for gamma0 = {:g}", gamma0)
+    return kt_c * HARTREE_K, n_c
 
 
 def melting_curve(gamma0: float, temperatures_k: "list[float]") -> MeltingCurve:

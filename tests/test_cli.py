@@ -200,6 +200,18 @@ class TestPhaseDiagram:
                            "--t-min", "5", "--t-max", "1")
         assert code == 2 and "t-min" in err
 
+    def test_temperatures_above_the_dome_give_empty_cells(self, capsys):
+        code, out, err = run(capsys, "phase-diagram", "--gamma0", "127", "--t-min", "1e5",
+                             "--t-max", "2e5", "--points", "3", "--format", "csv")
+        assert code == 0, err
+        assert out.splitlines()[1:4] == ["1.000000e+05,,", "1.500000e+05,,",
+                                         "2.000000e+05,,"]
+
+    def test_apex_far_above_the_grid_is_reported(self, capsys):
+        code, out, err = run(capsys, "phase-diagram", "--gamma0", "0.5", "--format", "csv")
+        assert code == 0, err
+        assert out.splitlines()[-1].startswith("# T_c_K=9.881771e+05 ")
+
     def test_csv_layout(self, capsys):
         code, out, _ = run(capsys, *TWO_POINT_CURVE, "--format", "csv")
         assert code == 0
@@ -292,6 +304,21 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert f"argument {option}: not a finite number" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["classify", "--density", "1e-300", "--temperature", "1"], "density 1e-300"),
+        (["phase-diagram", "--gamma0", "127", "--t-min", "1e-300", "--t-max", "1e-299"],
+         "temperature 1e-300 K"),
+        (["phase-diagram", "--gamma0", "1e300"], "gamma0 = 1e+300"),
+        (["phase-diagram", "--gamma0", "127", "--t-min", "1e300", "--t-max", "1.1e300"],
+         "1e+300 K"),
+    ], ids=["classify-tiny-density", "tiny-temperatures", "huge-gamma0",
+            "huge-temperatures"])
+    def test_out_of_range_phase_input_exits_2_naming_it(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and named in err
+        assert "outside the double-precision range" in err
 
     def test_scipy_loaded_only_by_commands_that_use_it(self):
         script = """

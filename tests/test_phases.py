@@ -1,10 +1,16 @@
+import csv
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqls.phases import (
+    G_MAX,
+    X_PEAK,
     PhaseLabel,
     chemical_potential,
     classify,
@@ -20,8 +26,33 @@ from eqls.phases import (
 )
 from eqls.units import BOLTZMANN_EV_PER_K, HARTREE_EV, HARTREE_K
 
+BOHR_CM = 0.529177210903e-8
+
 # density (cm^-2) whose Fermi energy equals k_B * 1 K
-N_AT_EF_EQ_KT = 1.0 / HARTREE_K / math.pi / (0.529177210903e-8) ** 2
+N_AT_EF_EQ_KT = 1.0 / HARTREE_K / math.pi / BOHR_CM**2
+
+GOLDEN = Path(__file__).parent / "golden" / "phase_diagram_gamma127.csv"
+
+ROOT_RTOL = 1e-4    # the melting roots' bisection tolerance on n
+
+
+def gamma_mpmath(n_cm2: float, t_k: float) -> mpmath.mpf:
+    """Gamma = E_F^(3/2) / (kT^2 F1) in Hartree units, F1 = -Li2(1 - e^(E_F/kT))."""
+    with mpmath.workdps(30):
+        kt = mpmath.mpf(t_k) / HARTREE_K
+        ef = mpmath.pi * n_cm2 * mpmath.mpf(BOHR_CM) ** 2
+        return ef**1.5 / (kt**2 * -mpmath.polylog(2, -mpmath.expm1(ef / kt)))
+
+
+def apex_mpmath(gamma0: float) -> tuple[float, float, float, float]:
+    """(x*, g_max, T_c in K, n_c in cm^-2): the maximum of g(x) = x^(3/2)/F1 and its dome apex."""
+    with mpmath.workdps(30):
+        def g(x):
+            return x**1.5 / -mpmath.polylog(2, -mpmath.expm1(x))
+        x_star = mpmath.findroot(lambda x: mpmath.diff(g, x), 2.3)
+        kt_c = (g(x_star) / gamma0) ** 2
+        return (float(x_star), float(g(x_star)), float(kt_c * HARTREE_K),
+                float(x_star * kt_c / mpmath.pi / mpmath.mpf(BOHR_CM) ** 2))
 
 
 def n_for_ratio(ratio: float, t_k: float = 1.0) -> float:
@@ -224,6 +255,52 @@ class TestCriticalPoint:
     def test_apex_density_inside_zero_t_roots(self):
         t_c, n_c = critical_point(127.0)
         assert 0.0 < n_c < quantum_critical_density(127.0)
+
+    def test_peak_constants_match_mpmath(self):
+        x_star, g_max, _, _ = apex_mpmath(127.0)
+        assert X_PEAK == pytest.approx(x_star, rel=1e-15)
+        assert G_MAX == pytest.approx(g_max, rel=1e-15)
+
+    @pytest.mark.parametrize("gamma0, t_c_k, n_c_cm2", [
+        (127.0, 15.3167760615, 1.299604574e12),
+        (72.0, 47.6551468164, 4.043464926e12),
+    ])
+    def test_apex_matches_mpmath(self, gamma0, t_c_k, n_c_cm2):
+        _, _, t_ref, n_ref = apex_mpmath(gamma0)
+        assert (t_ref, n_ref) == pytest.approx((t_c_k, n_c_cm2), rel=1e-9)
+        assert critical_point(gamma0) == pytest.approx((t_ref, n_ref), rel=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(gamma0=st.floats(0.0, 4.0).map(lambda e: 10.0**e))
+    def test_dome_closes_exactly_at_the_apex(self, gamma0):
+        t_c, _ = critical_point(gamma0)
+        assert t_c * gamma0**2 == pytest.approx(G_MAX**2 * HARTREE_K, rel=1e-12)
+        assert melting_roots(gamma0, t_c * (1 + 1e-9)) is None
+        below = melting_roots(gamma0, t_c * (1 - 1e-9))
+        assert below is not None and below[0] < below[1]
+
+
+class TestGolden:
+    def test_roots_and_apex_match_mpmath(self):
+        *table, summary = GOLDEN.read_text().splitlines()
+        _, _, t_c, n_c = apex_mpmath(127.0)
+        roots = 0
+        for row in csv.DictReader(table):
+            t = float(row["T_K"])
+            cells = [row["n_c1_cm2"], row["n_c2_cm2"]]
+            assert all(cells) == (t < t_c) and any(cells) == (t < t_c)
+            for cell in filter(None, cells):
+                # the exact root lies within ROOT_RTOL of the printed one
+                n = float(cell)
+                below = gamma_mpmath(n * (1 - ROOT_RTOL), t) - 127
+                above = gamma_mpmath(n * (1 + ROOT_RTOL), t) - 127
+                assert below * above < 0, (t, n)
+                roots += 1
+        assert roots == 60
+        crit = {k: float(v) for k, v in (kv.split("=") for kv in summary[2:].split())}
+        n_star = 4 / (math.pi * 127.0**2) / BOHR_CM**2
+        assert (crit["T_c_K"], crit["n_c_cm2"], crit["n_star_cm2"]) == pytest.approx(
+            (t_c, n_c, n_star), rel=1e-6)
 
 
 @pytest.fixture(scope="module")

@@ -104,12 +104,6 @@ class SubstanceRegistry:
     def surfaces(self) -> list[SubstanceSurface]:
         return list(self._surfaces.values())
 
-    def species_names(self) -> list[str]:
-        return [sp.name for sp in self._species.values()]
-
-    def surface_names(self) -> list[str]:
-        return [sf.name for sf in self._surfaces.values()]
-
     def get_species(self, name: str) -> ParticleSpecies:
         return _lookup(self._species, name, "species")
 

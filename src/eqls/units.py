@@ -44,7 +44,6 @@ PLANCK_EV_S = 4.135667696e-15
 BOLTZMANN_EV_PER_K = 8.617333262e-5
 HARTREE_EV = 27.211386245988
 BOHR_ANGSTROM = 0.529177210903
-ELECTRON_MASS_AMU = 5.48579909065e-4
 AMU_PER_ELECTRON_MASS = 1822.888486209
 
 # --- derived, defined once so every module agrees bit-for-bit ---

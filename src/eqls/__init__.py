@@ -53,7 +53,6 @@ from .zstates import (
     build_potential,
     default_grid,
     hydrogenic_levels,
-    mean_z,
     solve_bound_states,
     stark_scan,
     surface_grid,

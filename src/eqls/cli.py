@@ -4,10 +4,11 @@ Subcommands reproduce the bundled reference tables and the phase diagram
 as machine-readable artifacts (csv/json) or human-readable markdown, run
 single computations, and expose the cQED estimators.
 
-Exit status: 0 success, 2 argument/data errors, 3 numerical
-non-convergence.  Machine formats use 6 significant digits in scientific
-notation; csv and json carry identical numeric payloads.  Progress and
-warnings go to stderr, keeping stdout parseable.
+Exit status: 0 success, 2 argument/data errors (every ValueError, which
+includes each input `units.checked` rejects and a non-finite result), 3
+numerical non-convergence.  Machine formats use 6 significant digits in
+scientific notation; csv and json carry identical numeric payloads.
+Progress, warnings and notes go to stderr, keeping stdout parseable.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import sys
 from pathlib import Path
 
 from . import cqed, phases, zstates
-from .matter import RegistryError, de_boer, load_registry
+from .matter import de_boer, load_registry
 from .phases import ConvergenceError
-from .units import UnitError
+from .units import checked
 from .zstates import RegularizedImage, SolverError
 
 ENV_SUBSTANCES = "EQLS_SUBSTANCES"
@@ -32,12 +33,14 @@ ENV_SUBSTANCES = "EQLS_SUBSTANCES"
 _FORMATS = ("csv", "json", "md")
 
 
-def _sci(x: float) -> str:
-    return f"{x:.6e}"
-
-
-def _json_num(x: float) -> float:
-    return float(_sci(x))
+def _cell(value, spec: str, name: str) -> str:
+    """How every printed value is written: None empty, a float to `spec`
+    (a non-finite one is a ValueError naming it), anything else as str."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(checked(value, f"result {name} = {{}}"), spec)
+    return str(value)
 
 
 def _render_csv(columns, rows) -> str:
@@ -45,16 +48,17 @@ def _render_csv(columns, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow(["" if row[c] is None else
-                         _sci(row[c]) if isinstance(row[c], float) else str(row[c])
-                         for c in columns])
+        writer.writerow([_cell(row[c], ".6e", c) for c in columns])
     return buf.getvalue()
+
+
+def _json_value(value, name: str):
+    return float(_cell(value, ".6e", name)) if isinstance(value, float) else value
 
 
 def _render_json(columns, rows, extra=None) -> str:
     doc = {"columns": list(columns),
-           "rows": [{c: (_json_num(r[c]) if isinstance(r[c], float) else r[c])
-                     for c in columns} for r in rows]}
+           "rows": [{c: _json_value(r[c], c) for c in columns} for r in rows]}
     if extra:
         doc.update(extra)
     return json.dumps(doc, indent=2) + "\n"
@@ -63,14 +67,7 @@ def _render_json(columns, rows, extra=None) -> str:
 def _render_md(columns, rows, formats=None) -> str:
     formats = formats or {}
 
-    def cell(c, v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return format(v, formats.get(c, ".6g"))
-        return str(v)
-
-    table = [[cell(c, r[c]) for c in columns] for r in rows]
+    table = [[_cell(r[c], formats.get(c, ".6g"), c) for c in columns] for r in rows]
     widths = [max(len(c), *(len(t[i]) for t in table)) if table else len(c)
               for i, c in enumerate(columns)]
     lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(columns, widths)) + " |",
@@ -85,7 +82,7 @@ def _emit(args, text: str) -> None:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise RegistryError(f"cannot write output path {args.output}: {exc}") from exc
+            raise ValueError(f"cannot write output path {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -97,6 +94,15 @@ def _emit_table(args, columns, rows, md_formats=None) -> None:
         _emit(args, _render_json(columns, rows))
     else:
         _emit(args, _render_md(columns, rows, md_formats))
+
+
+def _emit_row(args, row: dict, md: str) -> None:
+    """A one-row result: a table in csv/json; in markdown the line `md`,
+    whose {column} fields get the row's values to 4 significant digits."""
+    if args.format == "md":
+        _emit(args, md.format(**{c: _cell(v, ".4g", c) for c, v in row.items()}) + "\n")
+    else:
+        _emit_table(args, list(row), [row])
 
 
 def finite(text: str) -> float:
@@ -145,6 +151,8 @@ def _solve_surface(surface, b_override, v0_override):
         b_A=b_override if b_override is not None else surface.scattering_length_A,
     )
     result = zstates.solve_bound_states(zstates.build_potential(spec), 2)
+    if result.convergence.note:
+        print(f"note: {surface.name}: {result.convergence.note}", file=sys.stderr)
     if result.shortfall:
         raise SolverError(
             f"{surface.name}: found only {len(result.states)} of 2 bound states"
@@ -205,6 +213,8 @@ def _cmd_states(args) -> int:
     result = zstates.solve_bound_states(zstates.build_potential(spec, grid), args.levels)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    if result.convergence.note:
+        print(f"note: {result.convergence.note}", file=sys.stderr)
     if result.shortfall:
         print(f"note: only {len(result.states)} of {args.levels} requested states "
               f"are bound on this grid", file=sys.stderr)
@@ -218,11 +228,14 @@ def _cmd_states(args) -> int:
                      "dE_half_grid_meV": change})
     if args.dump_psi:
         outdir = Path(args.dump_psi)
-        outdir.mkdir(parents=True, exist_ok=True)
         stem = sf.name.replace(" ", "_")
-        for k, st in enumerate(result.states):
-            with open(outdir / f"{stem}_state{k + 1}.dat", "w", encoding="utf-8") as fh:
-                zstates.write_wavefunction(st, fh, k + 1)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for k, st in enumerate(result.states):
+                with open(outdir / f"{stem}_state{k + 1}.dat", "w", encoding="utf-8") as fh:
+                    zstates.write_wavefunction(st, fh, k + 1)
+        except OSError as exc:
+            raise ValueError(f"cannot write wavefunctions to {outdir}: {exc}") from exc
     _emit_table(args, ["state", "energy_meV", "nodes", "mean_z_nm", "dE_half_grid_meV"],
                 rows, md_formats={"energy_meV": ".4g", "mean_z_nm": ".3g",
                                   "dE_half_grid_meV": ".2e"})
@@ -230,10 +243,9 @@ def _cmd_states(args) -> int:
 
 
 def _cmd_phase_diagram(args) -> int:
-    if args.points < 2:
-        raise ValueError("--points must be >= 2")
-    if not 0 < args.t_min < args.t_max:
-        raise ValueError("need 0 < --t-min < --t-max")
+    checked(args.points, "--points {}", 2, phases.MAX_CURVE_POINTS)
+    checked(args.t_min, "--t-min {}", 0.0, ends="(]")
+    checked(args.t_max, f"--t-max {{}} for --t-min {args.t_min:g}", args.t_min, ends="(]")
     step = (args.t_max - args.t_min) / (args.points - 1)
     temps = [args.t_min + i * step for i in range(args.points)]
     if args.verbose:
@@ -245,17 +257,17 @@ def _cmd_phase_diagram(args) -> int:
     c = curve.critical
     critical = {"T_c_K": c.t_c_k, "n_c_cm2": c.n_c_cm2, "n_star_cm2": c.n_star_cm2}
     if args.format == "csv":
-        summary = " ".join(f"{k}={_sci(v)}" for k, v in critical.items())
+        summary = " ".join(f"{k}={_cell(v, '.6e', k)}" for k, v in critical.items())
         _emit(args, _render_csv(columns, rows) + f"# {summary}\n")
     elif args.format == "json":
         _emit(args, _render_json(columns, rows, {
             "gamma0": curve.gamma0,
-            "critical": {k: _json_num(v) for k, v in critical.items()}}))
+            "critical": {k: _json_value(v, k) for k, v in critical.items()}}))
     else:
         text = _render_md(columns, rows,
                           {"T_K": ".3f", "n_c1_cm2": ".4g", "n_c2_cm2": ".4g"})
-        text += (f"\ncritical point: T_c = {c.t_c_k:.3g} K, "
-                 f"n_c = {c.n_c_cm2:.3g} cm^-2, n* = {c.n_star_cm2:.3g} cm^-2\n")
+        t_c, n_c, n_star = (_cell(v, ".3g", k) for k, v in critical.items())
+        text += f"\ncritical point: T_c = {t_c} K, n_c = {n_c} cm^-2, n* = {n_star} cm^-2\n"
         _emit(args, text)
     return 0
 
@@ -277,41 +289,27 @@ def _cmd_couple_gs(args) -> int:
         g_charge_mhz=args.g, f_charge_ghz=args.f_charge,
         f_larmor_ghz=args.f_larmor, grad_bz_t_per_m=args.grad_bz,
         mass_ratio=args.mass_ratio)
-    gs = cqed.spin_coupling(inp)
-    if args.format == "md":
-        _emit(args, f"g_s = {gs:.4g} MHz\n")
-    else:
-        _emit_table(args, ["g_s_MHz"], [{"g_s_MHz": gs}])
+    _emit_row(args, {"g_s_MHz": cqed.spin_coupling(inp)}, "g_s = {g_s_MHz} MHz")
     return 0
 
 
 def _cmd_couple_imagecharge(args) -> int:
     d_nm = args.d_nm if args.d_nm is not None else args.d_mm * 1e6
-    delta = cqed.image_charge_delta(args.dz_nm, d_nm)
-    if args.format == "md":
-        _emit(args, f"delta q / e = {delta:.4g}\n")
-    else:
-        _emit_table(args, ["delta_q_over_e"], [{"delta_q_over_e": delta}])
+    _emit_row(args, {"delta_q_over_e": cqed.image_charge_delta(args.dz_nm, d_nm)},
+              "delta q / e = {delta_q_over_e}")
     return 0
 
 
 def _cmd_couple_larmor(args) -> int:
-    f = cqed.larmor(args.b_field)
-    if args.format == "md":
-        _emit(args, f"f_L = {f:.4g} GHz\n")
-    else:
-        _emit_table(args, ["f_L_GHz"], [{"f_L_GHz": f}])
+    _emit_row(args, {"f_L_GHz": cqed.larmor(args.b_field)}, "f_L = {f_L_GHz} GHz")
     return 0
 
 
 def _cmd_couple_strong(args) -> int:
     res = cqed.strong_coupling(cqed.CouplingBudget(args.g, args.kappa, args.gamma_rate))
-    if args.format == "md":
-        verdict = "strong coupling" if res.strong else "NOT strong coupling"
-        _emit(args, f"{verdict}: margin = {res.margin_mhz:.4g} MHz\n")
-    else:
-        _emit_table(args, ["strong", "margin_MHz"],
-                    [{"strong": str(res.strong).lower(), "margin_MHz": res.margin_mhz}])
+    verdict = "strong coupling" if res.strong else "NOT strong coupling"
+    _emit_row(args, {"strong": str(res.strong).lower(), "margin_MHz": res.margin_mhz},
+              verdict + ": margin = {margin_MHz} MHz")
     return 0
 
 
@@ -409,15 +407,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (RegistryError, UnitError, ValueError) as exc:
+    except ValueError as exc:          # RegistryError, and every input or result refused
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, ConvergenceError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

@@ -16,6 +16,7 @@ from .units import (
     ELECTRON_MASS_KG,
     HBAR_J_S,
     PLANCK_J_S,
+    checked,
 )
 
 
@@ -34,12 +35,11 @@ class SpinCouplingInput:
     mass_ratio: float = 1.0
 
     def __post_init__(self):
-        if not self.f_charge_ghz > 0:
-            raise ValueError("charge frequency must be > 0")
-        if self.g_charge_mhz < 0:
-            raise ValueError("charge coupling must be >= 0")
-        if not self.mass_ratio > 0:
-            raise ValueError("mass ratio must be > 0")
+        checked(self.g_charge_mhz, "charge coupling g = {} MHz", 0.0)
+        checked(self.f_charge_ghz, "charge frequency {} GHz", 0.0, ends="(]")
+        checked(self.f_larmor_ghz, "Larmor frequency {} GHz", 0.0)
+        checked(self.grad_bz_t_per_m, "field gradient {} T/m")
+        checked(self.mass_ratio, "mass ratio {}", 0.0, ends="(]")
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,9 @@ class CouplingBudget:
     gamma_mhz: float
 
     def __post_init__(self):
-        if self.g_mhz < 0 or self.kappa_mhz < 0 or self.gamma_mhz < 0:
-            raise ValueError("rates must be >= 0")
+        checked(self.g_mhz, "coupling g = {} MHz", 0.0)
+        checked(self.kappa_mhz, "resonator decay kappa = {} MHz", 0.0)
+        checked(self.gamma_mhz, "qubit linewidth gamma = {} MHz", 0.0)
 
 
 @dataclass(frozen=True)
@@ -66,33 +67,34 @@ def spin_coupling(inp: SpinCouplingInput) -> float:
     w_x = 2 pi f_charge, a_x = sqrt(hbar / m w_x).  The magnitude is
     returned; the bare expression changes sign with the detuning side.
     Invalid on resonance (f_larmor = f_charge), where the perturbative
-    expression has a pole.
+    expression has a pole.  Every division is by a nonzero number, so an
+    extreme input overflows to a value that `checked` rejects.
     """
-    if inp.f_larmor_ghz == inp.f_charge_ghz:
+    f_x, f_l = inp.f_charge_ghz, inp.f_larmor_ghz
+    if f_l == f_x:
         raise ValueError("Larmor and charge frequencies coincide: the "
                          "detuned-coupling formula has a pole on resonance")
-    omega_x = 2.0 * math.pi * inp.f_charge_ghz * 1e9
-    a_x = math.sqrt(HBAR_J_S / (inp.mass_ratio * ELECTRON_MASS_KG * omega_x))
-    lever = BOHR_MAGNETON_J_PER_T * a_x * inp.grad_bz_t_per_m / (HBAR_J_S * omega_x)
-    denom = 1.0 - (inp.f_larmor_ghz / inp.f_charge_ghz) ** 2
-    return abs(lever * inp.g_charge_mhz * math.sqrt(2.0) / denom)
+    omega_x = 2.0 * math.pi * f_x * 1e9
+    a_x = math.sqrt(HBAR_J_S / ELECTRON_MASS_KG / inp.mass_ratio / omega_x)
+    lever = BOHR_MAGNETON_J_PER_T * a_x * inp.grad_bz_t_per_m / HBAR_J_S / omega_x
+    detuning = (f_x - f_l) / f_x * ((f_x + f_l) / f_x)       # 1 - (f_L/f_x)^2
+    g_s = abs(lever * inp.g_charge_mhz * math.sqrt(2.0) / detuning)
+    return checked(g_s, "spin coupling g_s = {} MHz", 0.0)
 
 
 def image_charge_delta(dz_nm: float, d_nm: float) -> float:
     """Image-charge change from a vertical shift dz between plates a
     distance D apart: delta q / e = dz / D (parallel-plate model)."""
-    if not d_nm > 0:
-        raise ValueError("plate distance must be > 0")
-    if dz_nm < 0:
-        raise ValueError("height change must be >= 0")
-    return dz_nm / d_nm
+    checked(dz_nm, "height change {} nm", 0.0)
+    checked(d_nm, "plate distance {} nm", 0.0, ends="(]")
+    return checked(dz_nm / d_nm, "image-charge change delta q / e = {}", 0.0)
 
 
 def larmor(b_t: float) -> float:
     """Electron Larmor frequency f_L = 2 mu_B B / h in GHz (g = 2)."""
-    if b_t < 0:
-        raise ValueError("field must be >= 0")
-    return 2.0 * BOHR_MAGNETON_J_PER_T * b_t / PLANCK_J_S / 1e9
+    checked(b_t, "magnetic field {} T", 0.0)
+    return checked(2.0 * BOHR_MAGNETON_J_PER_T * b_t / PLANCK_J_S / 1e9,
+                   "Larmor frequency {} GHz", 0.0)
 
 
 def strong_coupling(budget: CouplingBudget) -> StrongCouplingResult:

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
 
-from .units import AMU_PER_ELECTRON_MASS, BOHR_ANGSTROM, HARTREE_K, HBAR2_OVER_ME_EV_A2
+from .units import (AMU_PER_ELECTRON_MASS, BOHR_ANGSTROM, HARTREE_K, HBAR2_OVER_ME_EV_A2,
+                    checked)
 
 
 class RegistryError(ValueError):
@@ -36,8 +36,8 @@ class ParticleSpecies:
 
     def __post_init__(self):
         for field in ("mass_amu", "sigma_A", "epsilon_K"):
-            if not getattr(self, field) > 0:
-                raise RegistryError(f"species {self.name!r}: {field} must be > 0")
+            checked(getattr(self, field), f"species {self.name!r}: {field} = {{}}", 0.0,
+                    ends="(]", error=RegistryError)
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,16 @@ class SubstanceSurface:
     density_limit_cm2: float | None = None
 
     def __post_init__(self):
-        if not self.number_density_A3 > 0:
-            raise RegistryError(f"surface {self.name!r}: number_density_A3 must be > 0")
-        if not self.scattering_length_A > 0:
-            raise RegistryError(f"surface {self.name!r}: scattering_length_A must be > 0")
-        if not self.dielectric_constant >= 1:
-            raise RegistryError(f"surface {self.name!r}: dielectric_constant must be >= 1")
-        if not self.barrier_v0_ev > 0:
-            raise RegistryError(f"surface {self.name!r}: barrier_V0_eV must be > 0")
+        def above(value, field, low=0.0):
+            checked(value, f"surface {self.name!r}: {field} = {{}}", low, ends="(]",
+                    error=RegistryError)
+
+        above(self.number_density_A3, "number_density_A3")
+        above(self.scattering_length_A, "scattering_length_A")
+        above(self.dielectric_constant, "dielectric_constant", 1.0)
+        above(self.barrier_v0_ev, "barrier_V0_eV")
+        if self.density_limit_cm2 is not None:
+            above(self.density_limit_cm2, "density_limit_cm2")
 
 
 class SubstanceRegistry:
@@ -110,9 +112,6 @@ class SubstanceRegistry:
     def get_surface(self, name: str) -> SubstanceSurface:
         return _lookup(self._surfaces, name, "surface")
 
-    def __iter__(self) -> Iterator[SubstanceSurface]:
-        return iter(self._surfaces.values())
-
 
 def _lookup(table: dict, name: str, kind: str):
     key = name.lower()
@@ -133,10 +132,11 @@ def lj_potential(r_A: float, species: ParticleSpecies) -> float:
 
     Zero at r = sigma, minimum -eps at r = 2^(1/6) sigma.
     """
-    if not r_A > 0:
-        raise ValueError(f"separation must be > 0, got {r_A}")
-    x6 = (species.sigma_A / r_A) ** 6
-    return 4.0 * species.epsilon_K * (x6 * x6 - x6)
+    checked(r_A, "separation r = {} A", 0.0, ends="(]")
+    s = species.sigma_A / r_A
+    x6 = s * s * s * s * s * s         # overflows to inf, where ** would raise
+    return checked(4.0 * species.epsilon_K * (x6 * x6 - x6),
+                   f"the LJ potential of {species.name} at r = {r_A:g} A")
 
 
 def de_boer(species: ParticleSpecies) -> float:
@@ -147,8 +147,9 @@ def de_boer(species: ParticleSpecies) -> float:
     """
     sigma_au = species.sigma_A / BOHR_ANGSTROM
     m_au = species.mass_amu * AMU_PER_ELECTRON_MASS
-    eps_au = species.epsilon_K / HARTREE_K
-    return 2.0 * math.pi / (sigma_au * math.sqrt(m_au * eps_au))
+    # one positive divisor at a time, so that no product underflows to zero
+    return checked(2.0 * math.pi * math.sqrt(HARTREE_K) / sigma_au / math.sqrt(m_au)
+                   / math.sqrt(species.epsilon_K), f"the de Boer parameter of {species.name}")
 
 
 def v0_weak_scattering(number_density_A3: float, scattering_length_A: float) -> float:
@@ -157,9 +158,10 @@ def v0_weak_scattering(number_density_A3: float, scattering_length_A: float) -> 
     Valid for n^(1/3)*a_s << 1; condensed phases are denser, so the bundled
     V0 values come from multi-scattering treatments instead.
     """
-    if number_density_A3 < 0:
-        raise ValueError("number density must be >= 0")
-    return 2.0 * math.pi * HBAR2_OVER_ME_EV_A2 * number_density_A3 * scattering_length_A
+    checked(number_density_A3, "number density {} A^-3", 0.0)
+    checked(scattering_length_A, "scattering length {} A")
+    return checked(2.0 * math.pi * HBAR2_OVER_ME_EV_A2 * number_density_A3
+                   * scattering_length_A, "the weak-scattering barrier {} eV")
 
 
 _REQUIRED_SPECIES = ("name", "mass_amu", "sigma_A", "epsilon_K")
@@ -169,9 +171,21 @@ _REQUIRED_REFERENCE = ("E_z1_meV", "E_z2_meV", "dE_K", "f_THz", "z1_nm", "z2_nm"
 
 
 def _require(entry: dict, fields: tuple, where: str) -> None:
+    if not isinstance(entry, dict):
+        raise RegistryError(f"{where}: must be an object")
     for f in fields:
         if f not in entry:
             raise RegistryError(f"{where}: missing required field {f!r}")
+
+
+def _numbers(entry: dict, fields: tuple, where: str) -> list[float]:
+    out = []
+    for f in fields:
+        try:
+            out.append(float(entry[f]))
+        except (TypeError, ValueError, OverflowError):
+            raise RegistryError(f"{where}: {f} = {entry[f]!r} is not a number") from None
+    return out
 
 
 def _parse(doc: dict, origin: str) -> SubstanceRegistry:
@@ -184,35 +198,27 @@ def _parse(doc: dict, origin: str) -> SubstanceRegistry:
     for i, entry in enumerate(doc["species"]):
         where = f"{origin}: species[{i}]"
         _require(entry, _REQUIRED_SPECIES, where)
-        species.append(ParticleSpecies(
-            name=str(entry["name"]),
-            mass_amu=float(entry["mass_amu"]),
-            sigma_A=float(entry["sigma_A"]),
-            epsilon_K=float(entry["epsilon_K"]),
-        ))
+        species.append(ParticleSpecies(str(entry["name"]),
+                                       *_numbers(entry, _REQUIRED_SPECIES[1:], where)))
     surfaces = []
     for i, entry in enumerate(doc["surfaces"]):
         where = f"{origin}: surfaces[{i}]"
         _require(entry, _REQUIRED_SURFACE, where)
         ref = None
         if entry.get("reference") is not None:
-            _require(entry["reference"], _REQUIRED_REFERENCE, f"{where}.reference")
-            r = entry["reference"]
-            ref = ReferenceRow(
-                e1_mev=float(r["E_z1_meV"]), e2_mev=float(r["E_z2_meV"]),
-                de_k=float(r["dE_K"]), f_thz=float(r["f_THz"]),
-                z1_nm=float(r["z1_nm"]), z2_nm=float(r["z2_nm"]),
-            )
-        limit = entry.get("density_limit_cm2")
-        surfaces.append(SubstanceSurface(
-            name=str(entry["name"]),
-            number_density_A3=float(entry["number_density_A3"]),
-            scattering_length_A=float(entry["scattering_length_A"]),
-            dielectric_constant=float(entry["dielectric_constant"]),
-            barrier_v0_ev=float(entry["barrier_V0_eV"]),
-            reference=ref,
-            density_limit_cm2=float(limit) if limit is not None else None,
-        ))
+            where_ref = f"{where}.reference"
+            _require(entry["reference"], _REQUIRED_REFERENCE, where_ref)
+            values = _numbers(entry["reference"], _REQUIRED_REFERENCE, where_ref)
+            for key, value in zip(_REQUIRED_REFERENCE, values):
+                # each divides a residual: energies negative, the rest positive
+                low, high = (-math.inf, 0.0) if key.startswith("E_") else (0.0, math.inf)
+                checked(value, f"{where_ref}: {key} = {{}}", low, high, "()", RegistryError)
+            ref = ReferenceRow(*values)
+        limit = (_numbers(entry, ("density_limit_cm2",), where)[0]
+                 if entry.get("density_limit_cm2") is not None else None)
+        surfaces.append(SubstanceSurface(str(entry["name"]),
+                                         *_numbers(entry, _REQUIRED_SURFACE[1:], where),
+                                         reference=ref, density_limit_cm2=limit))
     return SubstanceRegistry(species, surfaces)
 
 

@@ -28,11 +28,10 @@ gamma0: kT_c = (G_MAX/gamma0)^2 and n_c = X_PEAK kT_c/pi.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .units import BOHR_CM, HARTREE_EV, HARTREE_K
+from .units import BOHR_CM, HARTREE_EV, HARTREE_K, NORMAL, checked
 
 _AB2_CM2 = BOHR_CM**2          # cm^2 per Bohr-radius^2
 
@@ -43,7 +42,7 @@ _QUAD_RTOL = 1e-8              # contract tolerance for the kinetic integral
 X_PEAK = 2.3570770804214027    # E_F/kT at the maximum of Gamma over n at fixed T
 G_MAX = 0.8845013770751479     # that maximum of Gamma * sqrt(kT / Hartree)
 
-_TINY = sys.float_info.min     # smallest normal double
+MAX_CURVE_POINTS = 10_000      # temperatures per melting curve, about 5 ms each
 
 
 class ConvergenceError(RuntimeError):
@@ -60,8 +59,7 @@ def _kt_au(t_k: float) -> float:
 
 def fermi_energy(n_cm2: float) -> float:
     """2D Fermi energy pi*hbar^2*n/m_e in eV (spin degeneracy 2 included)."""
-    if n_cm2 < 0:
-        raise ValueError("density must be >= 0")
+    checked(n_cm2, "density {} cm^-2", 0.0)
     return math.pi * _n_au(n_cm2) * HARTREE_EV
 
 
@@ -75,20 +73,13 @@ def _eta(x: float) -> float:
     return math.log(math.expm1(x))
 
 
-def _in_range(value: float, what: str, *args: float) -> float:
-    """value, if it is a positive normal double; else ValueError naming what.format(*args)."""
-    if not _TINY <= value < math.inf:
-        raise ValueError(what.format(*args) + " is outside the double-precision range")
-    return value
-
-
 def _scales(n_cm2: float, t_k: float) -> tuple[float, float]:
     """(kT, E_F) in Hartree, with kT and E_F/kT normal doubles."""
-    if not n_cm2 > 0 or not t_k > 0:
-        raise ValueError("density and temperature must be > 0")
-    kt = _in_range(_kt_au(t_k), "temperature {:g} K", t_k)
+    checked(n_cm2, "density {} cm^-2", 0.0, ends="(]")
+    checked(t_k, "temperature {} K", 0.0, ends="(]")
+    kt = checked(_kt_au(t_k), f"temperature {t_k:g} K", NORMAL)
     ef = math.pi * _n_au(n_cm2)
-    _in_range(ef / kt, "density {:g} cm^-2 at temperature {:g} K", n_cm2, t_k)
+    checked(ef / kt, f"density {n_cm2:g} cm^-2 at temperature {t_k:g} K", NORMAL)
     return kt, ef
 
 
@@ -128,15 +119,14 @@ def _f1(eta: float) -> float:
 def kinetic_energy(n_cm2: float, t_k: float) -> float:
     """Mean kinetic energy per electron of the 2D Fermi gas, in eV."""
     kt, ef = _scales(n_cm2, t_k)
-    return _in_range(kt * kt / ef * _f1(_eta(ef / kt)) * HARTREE_EV,
-                     "the kinetic energy at density {:g} cm^-2 and temperature {:g} K",
-                     n_cm2, t_k)
+    return checked(kt * kt / ef * _f1(_eta(ef / kt)) * HARTREE_EV,
+                   f"the kinetic energy at density {n_cm2:g} cm^-2 and temperature "
+                   f"{t_k:g} K", NORMAL)
 
 
 def coulomb_energy(n_cm2: float) -> float:
     """Mean Coulomb energy per electron e^2*sqrt(pi*n) in eV."""
-    if n_cm2 < 0:
-        raise ValueError("density must be >= 0")
+    checked(n_cm2, "density {} cm^-2", 0.0)
     return math.sqrt(math.pi * _n_au(n_cm2)) * HARTREE_EV
 
 
@@ -187,8 +177,7 @@ def classify(n_cm2: float, t_k: float, gamma0: float = DEFAULT_GAMMA0) -> PhaseL
     Quantum iff E_F >= kT (quantum on equality); solid iff Gamma >= gamma0,
     gas iff Gamma <= 1, liquid in between.
     """
-    if not gamma0 > 0:
-        raise ValueError("gamma0 must be > 0")
+    checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
     quantum = fermi_energy(n_cm2) >= t_k * HARTREE_EV / HARTREE_K
     gamma = plasma_parameter(n_cm2, t_k)
     if gamma >= gamma0:
@@ -200,10 +189,9 @@ def classify(n_cm2: float, t_k: float, gamma0: float = DEFAULT_GAMMA0) -> PhaseL
 
 def quantum_critical_density(gamma0: float) -> float:
     """Degenerate-limit melting density n* = 4 e^4 m_e^2/(pi hbar^4 gamma0^2), cm^-2."""
-    if not gamma0 > 0:
-        raise ValueError("gamma0 must be > 0")
-    return _in_range(4.0 / math.pi / gamma0 / gamma0 / _AB2_CM2,
-                     "the quantum melting density for gamma0 = {:g}", gamma0)
+    checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
+    return checked(4.0 / math.pi / gamma0 / gamma0 / _AB2_CM2,
+                   f"the quantum melting density for gamma0 = {gamma0:g}", NORMAL)
 
 
 def _classical_root_cm2(gamma0: float, t_k: float) -> float:
@@ -211,28 +199,18 @@ def _classical_root_cm2(gamma0: float, t_k: float) -> float:
     return (gamma0 * _kt_au(t_k)) ** 2 / math.pi / _AB2_CM2
 
 
-def _bisect_log_n(t_k: float, gamma0: float, ln_a: float, ln_b: float,
+def _bisect_log_n(t_k: float, gamma0: float, ln_below: float, ln_above: float,
                   rtol: float = 1e-4) -> float:
-    """Root of Gamma(n, T) = gamma0 on log n; endpoints must straddle it."""
-    fa = plasma_parameter(math.exp(ln_a), t_k) - gamma0
-    fb = plasma_parameter(math.exp(ln_b), t_k) - gamma0
-    if fa == 0.0:
-        return math.exp(ln_a)
-    if fb == 0.0:
-        return math.exp(ln_b)
-    if (fa > 0.0) == (fb > 0.0):
-        raise ConvergenceError(
-            f"no sign change for Gamma = {gamma0:g} at T = {t_k:g} K in "
-            f"[{math.exp(ln_a):.3e}, {math.exp(ln_b):.3e}] cm^-2"
-        )
-    a, b = ln_a, ln_b
+    """Root of Gamma(n, T) = gamma0 on log n, between a density where Gamma is
+    below gamma0 and one where it is above."""
+    a, b = ln_below, ln_above
     while abs(b - a) > rtol:       # log-space interval ~ relative tolerance in n
         m = 0.5 * (a + b)
         fm = plasma_parameter(math.exp(m), t_k) - gamma0
         if fm == 0.0:
             return math.exp(m)
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
+        if fm < 0.0:
+            a = m
         else:
             b = m
     return math.exp(0.5 * (a + b))
@@ -241,17 +219,22 @@ def _bisect_log_n(t_k: float, gamma0: float, ln_a: float, ln_b: float,
 def melting_roots(gamma0: float, t_k: float) -> tuple[float, float] | None:
     """The two melting densities (n_c1, n_c2) at T, or None above the dome.
 
-    Each root is bisected on its own side of the peak n = X_PEAK kT/pi.
+    Each root is bisected on its own side of the peak n = X_PEAK kT/pi, from
+    a bracket end where Gamma is at most gamma0/sqrt(10): a tenth of the
+    classical root below, ten times n* above.
     """
-    if not gamma0 > 0 or not t_k > 0:
-        raise ValueError("gamma0 and T must be > 0")
-    n_peak = _in_range(X_PEAK * _kt_au(t_k) / math.pi / _AB2_CM2,
-                       "the peak density at {:g} K", t_k)
-    if plasma_parameter(n_peak, t_k) < gamma0:
+    checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
+    checked(t_k, "temperature {} K", 0.0, ends="(]")
+    n_peak = checked(X_PEAK * _kt_au(t_k) / math.pi / _AB2_CM2,
+                     f"the peak density at {t_k:g} K", NORMAL)
+    gamma_peak = plasma_parameter(n_peak, t_k)
+    if gamma_peak < gamma0:
         return None
-    where = "the melting-root bracket for gamma0 = {:g} at {:g} K"
-    lo = _in_range(_classical_root_cm2(gamma0, t_k) / 10.0, where, gamma0, t_k)
-    hi = _in_range(quantum_critical_density(gamma0) * 10.0, where, gamma0, t_k)
+    if gamma_peak == gamma0:
+        return n_peak, n_peak
+    where = f"the melting-root bracket for gamma0 = {gamma0:g} at {t_k:g} K"
+    lo = checked(_classical_root_cm2(gamma0, t_k) / 10.0, where, NORMAL)
+    hi = checked(quantum_critical_density(gamma0) * 10.0, where, NORMAL)
     ln_peak = math.log(n_peak)
     return (_bisect_log_n(t_k, gamma0, math.log(lo), ln_peak),
             _bisect_log_n(t_k, gamma0, math.log(hi), ln_peak))
@@ -275,26 +258,24 @@ class MeltingCurve:
 
 def critical_point(gamma0: float) -> tuple[float, float]:
     """Dome apex (T_c in K, n_c in cm^-2): the T where the peak of Gamma is gamma0."""
-    if not gamma0 > 0:
-        raise ValueError("gamma0 must be > 0")
+    checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
     ratio = G_MAX / gamma0
-    kt_c = _in_range(ratio * ratio, "the dome apex for gamma0 = {:g}", gamma0)
-    n_c = _in_range(X_PEAK * kt_c / math.pi / _AB2_CM2,
-                    "the apex density for gamma0 = {:g}", gamma0)
+    kt_c = checked(ratio * ratio, f"the dome apex for gamma0 = {gamma0:g}", NORMAL)
+    n_c = checked(X_PEAK * kt_c / math.pi / _AB2_CM2,
+                  f"the apex density for gamma0 = {gamma0:g}", NORMAL)
     return kt_c * HARTREE_K, n_c
 
 
 def melting_curve(gamma0: float, temperatures_k: "list[float]") -> MeltingCurve:
     """Melting densities over a temperature grid plus the critical summary.
 
-    Temperatures must be positive and ascending.  Entries above T_c carry
-    None for both densities.
+    Temperatures must be positive and ascending, at most MAX_CURVE_POINTS of
+    them.  Entries above T_c carry None for both densities.
     """
+    checked(len(temperatures_k), "a curve of {} temperatures", 1, MAX_CURVE_POINTS)
     temps = [float(t) for t in temperatures_k]
-    if not temps or any(t <= 0 for t in temps):
-        raise ValueError("temperature grid must be positive")
-    if any(b <= a for a, b in zip(temps, temps[1:])):
-        raise ValueError("temperature grid must be strictly ascending")
+    for low, t in zip([0.0] + temps, temps):
+        checked(t, "temperature {} K of the ascending grid", low, ends="(]")
     n1: list[float | None] = []
     n2: list[float | None] = []
     for t in temps:

@@ -25,10 +25,15 @@ Derived combinations used throughout:
 Temperatures are treated as thermal-equivalent energies (via k_B) and
 frequencies as photon-equivalent energies (via h); converting between any
 two members of the energy family is therefore allowed.
+
+`checked` is the package's one input check: every dataclass, public numeric
+entry point and printed result goes through it.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,6 +55,30 @@ AMU_PER_ELECTRON_MASS = 1822.888486209
 HBAR2_OVER_ME_EV_A2 = HARTREE_EV * BOHR_ANGSTROM**2    # hbar^2/m_e
 HARTREE_K = HARTREE_EV / BOLTZMANN_EV_PER_K
 BOHR_CM = BOHR_ANGSTROM * 1e-8
+
+NORMAL = sys.float_info.min     # smallest positive normal double
+
+
+def checked(value, name: str, low: float = -math.inf, high: float = math.inf,
+            ends: str = "[]", error: type[ValueError] = ValueError):
+    """`value` if it is a finite number from `low` to `high`; else `error`.
+
+    `ends` holds the interval's brackets: "(" or ")" excludes that bound.
+    The message reads "<name> is outside <range>", with any "{}" in `name`
+    replaced by the value; [NORMAL, inf) is called the double-precision
+    range.
+    """
+    if ((value > low if ends[0] == "(" else value >= low)
+            and (value < high if ends[1] == ")" else value <= high)
+            and math.isfinite(value)):
+        return value
+    if low == NORMAL and high == math.inf:
+        span = "the double-precision range"
+    else:
+        span = (f"{'(' if low == -math.inf else ends[0]}{low:.15g}, "
+                f"{high:.15g}{')' if high == math.inf else ends[1]}")
+    shown = f"{value:.15g}" if isinstance(value, float) else str(value)
+    raise error(f"{name.replace('{}', shown)} is outside {span}")
 
 
 class Unit(Enum):

@@ -13,7 +13,9 @@ module builds sampled potential profiles for three variants
 and solves -hbar^2/(2 m_e) psi'' + V psi = E psi on a uniform grid with
 Dirichlet ends, using second-order centered differences.  The lowest
 eigenpairs of the tridiagonal Hamiltonian are obtained by Sturm-sequence
-bisection plus inverse iteration (LAPACK stebz/stein).
+bisection plus inverse iteration (LAPACK stebz/stein).  Every spec, grid and level count is range-checked
+(`units.checked`) before anything is allocated; barrier heights are
+capped at INFINITE_BARRIER_EV.
 
 Where nearby energies are already known, bisection is skipped: the
 halved grid of the convergence report starts from the base energies,
@@ -46,10 +48,12 @@ from typing import IO, Union
 
 import numpy as np
 
-from .units import BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, PLANCK_EV_S
+from .units import BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, PLANCK_EV_S, checked
 
 # Stand-in for a hard wall; penetration depth at 1 MeV is ~0.002 A, far
-# below any grid spacing used here.
+# below any grid spacing used here.  Also the cap on every barrier height:
+# bisection's accuracy 4 eps |T| grows with the barrier and, above this,
+# moves the levels (at 1e9 eV, liquid 4He's dE_half_grid by 11%).
 INFINITE_BARRIER_EV = 1.0e6
 
 # Largest grid any solve may build, checked before anything is allocated.
@@ -57,6 +61,10 @@ INFINITE_BARRIER_EV = 1.0e6
 # the points, so a reported solve takes base grids up to half of this: the
 # default grids of up to 27 levels (40 without a report).
 MAX_GRID_POINTS = 1 << 20
+
+# Largest points x count block of eigenvectors a solve may allocate (128 MB);
+# the default grids of up to 27 levels stay below it.
+MAX_EIGENVECTOR_BLOCK = 1 << 24
 
 # Outer/inner fractions of the domain used to detect box-artifact states.
 _EDGE_FRACTION = 0.1
@@ -77,12 +85,10 @@ class RegularizedImage:
     pressing_field_v_per_m: float = 0.0
 
     def __post_init__(self):
-        if not self.eps_r >= 1:
-            raise ValueError("eps_r must be >= 1")
-        if not self.b_A > 0:
-            raise ValueError("cutoff b must be > 0")
-        if not self.v0_ev > 0:
-            raise ValueError("V0 must be > 0")
+        checked(self.v0_ev, "V0 = {} eV", 0.0, INFINITE_BARRIER_EV, "(]")
+        checked(self.eps_r, "eps_r = {}", 1.0, ends="(]")
+        checked(self.b_A, "cutoff b = {} A", 0.0, ends="(]")
+        checked(self.pressing_field_v_per_m, "pressing field {} V/m")
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,8 @@ class InfiniteBarrierImage:
     pressing_field_v_per_m: float = 0.0
 
     def __post_init__(self):
-        if not self.eps_r >= 1:
-            raise ValueError("eps_r must be >= 1")
+        checked(self.eps_r, "eps_r = {}", 1.0, ends="(]")
+        checked(self.pressing_field_v_per_m, "pressing field {} V/m")
 
 
 @dataclass(frozen=True)
@@ -113,10 +119,11 @@ class Interface:
     pressing_field_v_per_m: float = 0.0
 
     def __post_init__(self):
-        if not self.eps_r_below >= 1:
-            raise ValueError("eps_r_below must be >= 1")
-        if not self.zeta_A > 0:
-            raise ValueError("zeta must be > 0")
+        for v in (self.v_barrier_below_ev, self.v_barrier_above_ev):
+            checked(v, "barrier {} eV", -INFINITE_BARRIER_EV, INFINITE_BARRIER_EV)
+        checked(self.eps_r_below, "eps_r_below = {}", 1.0)
+        checked(self.zeta_A, "zeta = {} A", 0.0, ends="(]")
+        checked(self.pressing_field_v_per_m, "pressing field {} V/m")
 
 
 PotentialSpec = Union[RegularizedImage, InfiniteBarrierImage, Interface]
@@ -131,14 +138,10 @@ class GridSpec:
     points: int
 
     def __post_init__(self):
-        if not (self.z_min_A < 0.0 < self.z_max_A):
-            raise ValueError("grid must satisfy z_min < 0 < z_max")
-        if self.points < 3:
-            raise ValueError("grid needs at least 3 points")
-        if self.points > MAX_GRID_POINTS:
-            raise ValueError(f"grid needs more than the cap of {MAX_GRID_POINTS} "
-                             f"points; use a coarser spacing, a smaller extent or "
-                             f"fewer levels")
+        checked(self.z_min_A, "grid z_min = {} A", high=0.0, ends="[)")
+        checked(self.z_max_A, "grid z_max = {} A", 0.0, ends="(]")
+        checked(self.points, "grid of {} points", 3, MAX_GRID_POINTS)
+        checked(self.h_A, "grid spacing {} A", 0.0, ends="(]")
 
     @property
     def h_A(self) -> float:
@@ -150,6 +153,8 @@ class GridSpec:
 
 def surface_grid(z_min_A: float, z_max_A: float, h_A: float) -> GridSpec:
     """Grid with spacing ~h covering [z_min, z_max], z=0 midway between nodes."""
+    checked(h_A, "grid spacing {} A", 0.0, ends="(]")
+    checked((z_max_A - z_min_A) / h_A, "grid of {} cells", 0.0, MAX_GRID_POINTS)
     m = int(math.ceil(-z_min_A / h_A - 0.5))
     p = int(math.ceil(z_max_A / h_A + 0.5))
     return GridSpec(-(m + 0.5) * h_A, (p - 0.5) * h_A, m + p + 1)
@@ -157,20 +162,19 @@ def surface_grid(z_min_A: float, z_max_A: float, h_A: float) -> GridSpec:
 
 def image_strength_ev_a(eps_r: float) -> float:
     """Coefficient A in the image tail V = -A/z, in eV*Angstrom."""
+    checked(eps_r, "eps_r = {}", 1.0)
     return (eps_r - 1.0) / (eps_r + 1.0) * HARTREE_EV * BOHR_ANGSTROM / 4.0
 
 
 def hydrogenic_charge(eps_r: float) -> float:
     """Effective charge Z = (eps-1)/(4(eps+1)) of the image tail."""
+    checked(eps_r, "eps_r = {}", 1.0)
     return (eps_r - 1.0) / (4.0 * (eps_r + 1.0))
 
 
 def hydrogenic_levels(eps_r: float, n_max: int) -> np.ndarray:
     """Hard-wall analytic spectrum E_n = -Z^2/(2 n^2) Hartree, in meV."""
-    if not eps_r >= 1:
-        raise ValueError("eps_r must be >= 1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    checked(n_max, "n_max = {}", 1, MAX_GRID_POINTS)
     n = np.arange(1, n_max + 1, dtype=float)
     z = hydrogenic_charge(eps_r)
     return -(z * z) / (2.0 * n * n) * HARTREE_EV * 1e3
@@ -186,6 +190,7 @@ def default_grid(spec: PotentialSpec, levels: int = 2) -> GridSpec:
     """
     if isinstance(spec, Interface):
         return surface_grid(-20.0, 50.0, spec.zeta_A / 100.0)
+    checked(levels, "{} levels", 1, MAX_GRID_POINTS)
     scale = BOHR_ANGSTROM / hydrogenic_charge(spec.eps_r)
     z_max = scale * max(30.0, 3.0 * levels**2 + 10.0 * levels)
     return surface_grid(-20.0, z_max, scale / 200.0)
@@ -198,8 +203,8 @@ class PotentialProfile:
     grid: GridSpec
     samples_ev: np.ndarray
     asymptote_ev: float
+    source: PotentialSpec
     warnings: tuple[str, ...] = ()
-    source: PotentialSpec | None = None
 
 
 def build_potential(spec: PotentialSpec, grid: GridSpec | None = None) -> PotentialProfile:
@@ -237,7 +242,7 @@ def build_potential(spec: PotentialSpec, grid: GridSpec | None = None) -> Potent
                 f"z_max = {grid.z_max_A:.1f} A is below 10x the expected ground-state "
                 f"height {extent:.1f} A; energies may not be converged"
             )
-    return PotentialProfile(grid, v, asymptote, tuple(warnings), spec)
+    return PotentialProfile(grid, v, asymptote, spec, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -268,12 +273,6 @@ class SolveResult:
     shortfall: int
     convergence: ConvergenceReport | None
     warnings: tuple[str, ...] = ()
-
-
-def mean_z(state: BoundState) -> float:
-    """Mean electron height sum z |psi|^2 h over the full grid, in nm."""
-    h = state.z_A[1] - state.z_A[0]
-    return float(np.sum(state.z_A * state.psi**2) * h) / 10.0
 
 
 def _count_nodes(psi: np.ndarray) -> int:
@@ -401,15 +400,6 @@ def _halved(grid: GridSpec) -> GridSpec:
     return surface_grid(grid.z_min_A, grid.z_max_A, grid.h_A / 2.0)
 
 
-def _refined_profile(profile: PotentialProfile,
-                     fine: GridSpec) -> tuple[PotentialProfile, str]:
-    if profile.source is not None:
-        return build_potential(profile.source, fine), ""
-    v = np.interp(fine.nodes(), profile.grid.nodes(), profile.samples_ev)
-    return (PotentialProfile(fine, v, profile.asymptote_ev),
-            "refined potential linearly interpolated from samples")
-
-
 def solve_bound_states(profile: PotentialProfile, count: int,
                        report_convergence: bool = True, *,
                        _seeds_ev=None) -> SolveResult:
@@ -424,8 +414,9 @@ def solve_bound_states(profile: PotentialProfile, count: int,
     the base energies (`_refine`).  `_seeds_ev` (private, one energy in eV
     per state) lets `stark_scan` refine the base solve from a nearby one.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    points = profile.grid.points
+    checked(count, f"count {{}} on a {points}-point grid", 1,
+            min(points, MAX_EIGENVECTOR_BLOCK // points))
     # built first, so that a halving grid over the point cap fails before any solve
     fine = _halved(profile.grid) if report_convergence else None
     if _seeds_ev is None:
@@ -449,17 +440,16 @@ def solve_bound_states(profile: PotentialProfile, count: int,
         states.append(BoundState(float(energies[k]) * 1e3, z, psi, nodes, zbar))
     report = None
     if fine is not None:
-        fine_profile, note = _refined_profile(profile, fine)
-        notes = [note] if note else []
+        notes = []
         change = ()
+        source = profile.source
         try:
-            fine_e, _ = _eigensolve_near(fine, fine_profile.samples_ev,
+            fine_e, _ = _eigensolve_near(fine, build_potential(source, fine).samples_ev,
                                          energies[:max(1, len(states))])
             change = tuple((states[k].energy_mev - float(fine_e[k]) * 1e3)
                            for k in range(len(states)))
         except SolverError:
             notes.append("refined solve failed")
-        source = profile.source
         if isinstance(source, RegularizedImage) and source.b_A < profile.grid.h_A:
             notes.append(f"cutoff b = {source.b_A:.3g} A is below the grid spacing "
                          f"h = {profile.grid.h_A:.3g} A, so the halving change "
@@ -478,8 +468,7 @@ class Transition:
 def transition(states: "list[BoundState] | tuple[BoundState, ...]",
                i: int, j: int) -> Transition:
     """Energy (K) and frequency (THz) of the i -> j transition, 0-based i < j."""
-    if i >= j:
-        raise ValueError(f"transition needs i < j, got i={i}, j={j}")
+    checked(i, f"initial state {{}} of a transition to state {j}", 0, j, "[)")
     de_ev = (states[j].energy_mev - states[i].energy_mev) * 1e-3
     return Transition(de_k=de_ev / BOLTZMANN_EV_PER_K,
                       f_thz=de_ev / (PLANCK_EV_S * 1e12))
@@ -528,8 +517,6 @@ def stark_scan(spec: PotentialSpec, fields_v_per_m: "list[float]",
     out = []
     seeds = None
     for field in fields_v_per_m:
-        if not math.isfinite(field):
-            raise ValueError(f"field must be finite, got {field}")
         tilted = dataclasses.replace(spec, pressing_field_v_per_m=field)
         result = solve_bound_states(build_potential(tilted, grid), 1,
                                     report_convergence=False, _seeds_ev=seeds)

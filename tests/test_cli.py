@@ -1,15 +1,21 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eqls
+from eqls import phases
 from eqls.cli import main
+from eqls.zstates import MAX_GRID_POINTS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -134,7 +140,8 @@ class TestStates:
         code, out, err = run(capsys, "states", "--substance", "liquid 4He", *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: grid needs more than the cap")
+        assert err.startswith("error: grid of ")
+        assert err.rstrip().endswith(f", {MAX_GRID_POINTS}]")
 
     def test_shortfall_noted_on_stderr_for_truncated_grid(self, capsys):
         # capping the domain by hand cuts off the upper states
@@ -339,3 +346,92 @@ assert not {"scipy.integrate", "scipy.optimize"} & scipy_modules(), sorted(scipy
             [sys.executable, "-c", script], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(Path(eqls.__file__).parents[1])})
         assert proc.returncode == 0, proc.stderr
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv, named", [
+        (["couple", "gs", "--g", "1e308", "--f-charge", "1e-308", "--f-larmor", "1",
+          "--grad-bz", "1e308"], "spin coupling g_s"),
+        (["couple", "gs", "--g", "1", "--f-charge", "1e-300", "--f-larmor", "1",
+          "--grad-bz", "1"], "spin coupling g_s"),
+        (["couple", "larmor", "--b-field", "1e308"], "Larmor frequency inf GHz"),
+        (["couple", "imagecharge", "--dz-nm", "1e308", "--d-nm", "1e-308"],
+         "delta q / e = inf"),
+        (["states", "--substance", "4He", "--v0", "1e12"], "V0 = 1000000000000 eV"),
+        (["table2", "--v0", "1e300"], "V0 = 1e+300 eV"),
+        (["phase-diagram", "--gamma0", "127", "--points", "10001"], "--points 10001"),
+    ], ids=["gs-overflow", "gs-underflow", "larmor-inf", "imagecharge-inf", "states-v0",
+            "table2-v0", "points-cap"])
+    def test_out_of_range_input_or_result_exits_2_naming_it(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and named in err and " is outside " in err
+        assert err.count("\n") == 1
+
+    def test_points_are_capped_before_the_temperatures_are_built(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("melting_curve called")
+
+        monkeypatch.setattr(phases, "melting_curve", never)
+        limit = str(phases.MAX_CURVE_POINTS + 1)
+        code, _, err = run(capsys, "phase-diagram", "--gamma0", "127", "--points", limit)
+        assert code == 2 and f"[2, {phases.MAX_CURVE_POINTS}]" in err
+
+    def test_convergence_note_goes_to_stderr(self, capsys):
+        _, plain, _ = run(capsys, "table2", "--substance", "4He")
+        code, out, err = run(capsys, "table2", "--substance", "4He", "--b", "0.001")
+        assert code == 0
+        assert err.startswith("note: liquid 4He: cutoff b = 0.001 A is below the grid spacing")
+        assert out.splitlines()[:2] == plain.splitlines()[:2]
+
+
+# Every subcommand with its numeric options: (option, required, values).
+NUMBERS = ("1e308", "1e-308", "5e-324", "0", "-2.5", "nan", "inf", "-inf",
+           "1", "0.7", "6.03", "127", "1e9")
+COUNTS = ("1", "2", "0", "-1", "3")
+SURFACES = ("liquid 4He", "solid Ne")
+COMMANDS = [
+    (["couple", "larmor"], [("--b-field", True, NUMBERS)]),
+    (["couple", "gs"], [("--g", True, NUMBERS), ("--f-charge", True, NUMBERS),
+                        ("--f-larmor", True, NUMBERS), ("--grad-bz", True, NUMBERS),
+                        ("--mass-ratio", False, NUMBERS)]),
+    (["couple", "imagecharge"], [("--dz-nm", True, NUMBERS), ("--d-nm", True, NUMBERS)]),
+    (["couple", "imagecharge"], [("--dz-nm", True, NUMBERS), ("--d-mm", True, NUMBERS)]),
+    (["couple", "strong"], [("--g", True, NUMBERS), ("--kappa", True, NUMBERS),
+                            ("--gamma-rate", True, NUMBERS)]),
+    (["classify"], [("--density", True, NUMBERS), ("--temperature", True, NUMBERS),
+                    ("--gamma0", False, NUMBERS)]),
+    (["phase-diagram"], [("--gamma0", True, NUMBERS), ("--t-min", False, NUMBERS),
+                         ("--t-max", False, NUMBERS), ("--points", True, COUNTS)]),
+    (["states"], [("--substance", True, SURFACES), ("--levels", False, COUNTS),
+                  ("--field", False, NUMBERS), ("--b", False, NUMBERS),
+                  ("--v0", False, NUMBERS), ("--grid-h", False, NUMBERS),
+                  ("--grid-zmax", False, NUMBERS)]),
+    (["table2"], [("--substance", False, SURFACES), ("--b", False, NUMBERS),
+                  ("--v0", False, NUMBERS)]),
+    (["table1"], []),
+]
+
+
+@st.composite
+def argvs(draw):
+    command, options = draw(st.sampled_from(COMMANDS))
+    argv = list(command)
+    for option, required, values in options:
+        if required or draw(st.booleans()):
+            argv.append(f"{option}={draw(st.sampled_from(values))}")
+    return argv + ["--format", draw(st.sampled_from(("md", "csv", "json")))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_every_argv_exits_cleanly_with_finite_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.I), argv
+    else:
+        assert out.getvalue() == "", argv

@@ -137,6 +137,28 @@ class TestRegistry:
         with pytest.raises(RegistryError, match="number_density_A3"):
             load_registry(self._write(tmp_path, doc))
 
+    def test_infinite_barrier_names_field(self, tmp_path):
+        path = self._write(tmp_path, self._minimal())
+        path.write_text(path.read_text().replace('"barrier_V0_eV": 0.7',
+                                                 '"barrier_V0_eV": Infinity'))
+        with pytest.raises(RegistryError, match=r"barrier_V0_eV = inf is outside \(0, inf\)"):
+            load_registry(path)
+
+    @pytest.mark.parametrize("value", [None, "heavy", [1.0]])
+    def test_non_number_names_field(self, tmp_path, value):
+        doc = self._minimal()
+        doc["species"][0]["mass_amu"] = value
+        with pytest.raises(RegistryError, match=r"species\[0\]: mass_amu = .* is not a number"):
+            load_registry(self._write(tmp_path, doc))
+
+    def test_zero_reference_value_names_field(self, tmp_path):
+        # a reference value divides its residual, so zero is refused at load
+        doc = self._minimal()
+        doc["surfaces"][0]["reference"] = {"E_z1_meV": 0.0, "E_z2_meV": -3.24, "dE_K": 165.0,
+                                           "f_THz": 3.43, "z1_nm": 1.66, "z2_nm": 9.04}
+        with pytest.raises(RegistryError, match=r"E_z1_meV = 0 is outside \(-inf, 0\)"):
+            load_registry(self._write(tmp_path, doc))
+
     def test_missing_field_names_field(self, tmp_path):
         doc = self._minimal()
         del doc["surfaces"][0]["barrier_V0_eV"]

@@ -24,6 +24,7 @@ from eqls.phases import (
     plasma_parameter,
     quantum_critical_density,
 )
+from eqls import units
 from eqls.units import BOLTZMANN_EV_PER_K, HARTREE_EV, HARTREE_K
 
 BOHR_CM = 0.529177210903e-8
@@ -235,6 +236,11 @@ class TestMeltingRoots:
 
     def test_no_roots_above_dome(self):
         assert melting_roots(127.0, 20.0) is None
+
+    def test_peak_exactly_at_threshold_is_a_double_root(self):
+        n_peak = X_PEAK * (5.0 / HARTREE_K) / math.pi / units.BOHR_CM**2
+        gamma0 = plasma_parameter(n_peak, 5.0)
+        assert melting_roots(gamma0, 5.0) == (n_peak, n_peak)
 
     def test_upper_root_approaches_quantum_limit(self):
         roots = melting_roots(127.0, 0.05)

@@ -1,13 +1,18 @@
 import itertools
+import math
 
 import pytest
 
+from eqls import cqed, matter, phases, zstates
+from eqls.matter import RegistryError
 from eqls.units import (
     BOLTZMANN_EV_PER_K,
+    NORMAL,
     PLANCK_EV_S,
     Quantity,
     Unit,
     UnitError,
+    checked,
     conversion_factor,
     convert,
 )
@@ -77,3 +82,51 @@ def test_reference_rows_frequency_energy_consistent(registry):
         ref = surface.reference
         de_from_f = ref.f_thz * PLANCK_EV_S * 1e12 / BOLTZMANN_EV_PER_K
         assert de_from_f == pytest.approx(ref.de_k, rel=0.02), surface.name
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1.0, "x = {}", 0.0), "x = -1 is outside [0, inf)"),
+    ((0.0, "b", 0.0, math.inf, "(]"), "b is outside (0, inf)"),
+    ((2e6, "V0 = {} eV", 0.0, 1e6, "(]"), "V0 = 2000000 eV is outside (0, 1000000]"),
+    ((math.nan, "field {}"), "field nan is outside (-inf, inf)"),
+    ((math.inf, "field {}"), "field inf is outside (-inf, inf)"),
+    ((0.0, "z", -math.inf, 0.0, "[)"), "z is outside (-inf, 0)"),
+    ((10**400, "{} levels", 1, 1 << 20), f"{10**400} levels is outside [1, 1048576]"),
+    ((1e-310, "the apex", NORMAL), "the apex is outside the double-precision range"),
+], ids=["below", "open-low", "cap", "nan", "inf", "open-high", "huge-int", "normal"])
+def test_checked_names_the_input_and_its_range(args, message):
+    with pytest.raises(ValueError) as err:
+        checked(*args)
+    assert str(err.value) == message
+
+
+def test_checked_returns_values_in_range_and_raises_the_given_class():
+    assert checked(1e6, "V0", 0.0, 1e6, "(]") == 1e6
+    assert checked(3, "points", 3, 3) == 3
+    assert checked(-1e308, "field") == -1e308
+    with pytest.raises(RegistryError):
+        checked(math.inf, "barrier_V0_eV", 0.0, error=RegistryError)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cqed.CouplingBudget(NAN, 0.0, 0.0),
+    lambda: cqed.SpinCouplingInput(20.0, 6.0, NAN, 800.0),
+    lambda: cqed.image_charge_delta(NAN, 1.0),
+    lambda: cqed.larmor(NAN),
+    lambda: zstates.RegularizedImage(math.inf, 1.05, 0.5),
+    lambda: zstates.RegularizedImage(zstates.INFINITE_BARRIER_EV * (1 + 1e-15), 1.05, 0.5),
+    lambda: zstates.Interface(NAN, NAN, 1.2, 1.0),
+    lambda: zstates.InfiniteBarrierImage(1.0),
+    lambda: zstates.GridSpec(-1e308, 1e308, 3),
+    lambda: phases.fermi_energy(NAN),
+    lambda: phases.melting_curve(127.0, [1.0] * (phases.MAX_CURVE_POINTS + 1)),
+    lambda: matter.lj_potential(1e-300, matter.ParticleSpecies("x", 1.0, 1.0, 1.0)),
+    lambda: matter.v0_weak_scattering(1.0, NAN),
+], ids=["budget", "spin-input", "imagecharge", "larmor", "v0-inf", "v0-cap", "interface",
+        "no-image", "grid-spacing", "fermi", "curve-cap", "lj-overflow", "weak-scattering"])
+def test_library_entry_points_refuse_out_of_range_values(call):
+    with pytest.raises(ValueError, match=" is outside "):
+        call()

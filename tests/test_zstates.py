@@ -17,7 +17,6 @@ from eqls.zstates import (
     build_potential,
     default_grid,
     hydrogenic_levels,
-    mean_z,
     solve_bound_states,
     stark_scan,
     surface_grid,
@@ -33,6 +32,8 @@ NE_SPEC = RegularizedImage(v0_ev=0.7, eps_r=1.244, b_A=0.38)
 SCALE_1244 = BOHR_ANGSTROM / zstates.hydrogenic_charge(1.244)
 UNRESOLVED_B_SPEC = RegularizedImage(v0_ev=50.0, eps_r=1.244, b_A=1e-3)
 UNRESOLVED_B_GRID = surface_grid(-20.0, 30.0 * SCALE_1244, SCALE_1244 / 800.0)
+
+CAP = rf"is outside \[\S+, {zstates.MAX_GRID_POINTS}\]"     # the grid point cap, named
 
 
 def bisection_bound_ev(grid, v_ev):
@@ -55,19 +56,36 @@ class TestGrid:
 
     def test_point_cap_is_checked_before_allocation(self):
         GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS)      # holds three numbers only
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match=CAP):
             GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS + 1)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match=CAP):
             default_grid(HE_SPEC, levels=100)               # about 6.2M nodes
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match=CAP):
             surface_grid(-20.0, 2300.0, 1e-4)
 
     def test_halving_over_the_cap_fails_before_the_solve(self):
         # the samples are never read: the halved grid is checked first
         grid = GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS // 2 + 1)
-        profile = zstates.PotentialProfile(grid, np.zeros(3), 0.0)
-        with pytest.raises(ValueError, match="cap"):
+        profile = zstates.PotentialProfile(grid, np.zeros(3), 0.0, HE_SPEC)
+        with pytest.raises(ValueError, match=CAP):
             solve_bound_states(profile, 1)
+
+    def test_count_is_capped_by_its_grid_before_the_solve(self):
+        # the samples are never read: the count is checked first
+        small = zstates.PotentialProfile(GridSpec(-1.0, 1.0, 5), np.zeros(3), 0.0, HE_SPEC)
+        with pytest.raises(ValueError, match=r"count 6 on a 5-point grid is outside \[1, 5\]"):
+            solve_bound_states(small, 6, report_convergence=False)
+        points = zstates.MAX_GRID_POINTS // 2
+        block = zstates.MAX_EIGENVECTOR_BLOCK // points
+        big = zstates.PotentialProfile(GridSpec(-1.0, 1.0, points), np.zeros(3), 0.0, HE_SPEC)
+        with pytest.raises(ValueError, match=rf"is outside \[1, {block}\]"):
+            solve_bound_states(big, block + 1, report_convergence=False)
+
+    def test_default_grids_of_every_level_fit_the_block_cap(self):
+        for spec in (RegularizedImage(1.0, 1.02, 0.5), RegularizedImage(1.0, 1.4, 0.5)):
+            for levels in range(1, 28):
+                grid = default_grid(spec, levels)
+                assert grid.points * levels <= zstates.MAX_EIGENVECTOR_BLOCK
 
     def test_every_grid_used_here_fits_with_its_halving(self):
         grids = [default_grid(spec, levels)
@@ -147,6 +165,11 @@ class TestBuildPotential:
         assert g_he.h_A > g_ne.h_A            # weaker image tail, coarser grid
         assert g_he.z_max_A > g_ne.z_max_A
 
+    def test_barrier_cap_is_the_hard_wall_stand_in(self):
+        RegularizedImage(zstates.INFINITE_BARRIER_EV, 1.056, 0.62)
+        with pytest.raises(ValueError, match=r"V0 = 1000000000 eV is outside \(0, 1000000\]"):
+            RegularizedImage(1e9, 1.056, 0.62)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             RegularizedImage(1.1, 0.9, 0.62)
@@ -212,10 +235,6 @@ class TestSolveBoundStates:
         e = [s.energy_mev for s in he_result.states]
         assert e[0] < e[1] < 0.0
 
-    def test_mean_z_recomputes_from_samples(self, he_result):
-        state = he_result.states[0]
-        assert mean_z(state) == pytest.approx(state.mean_z_nm, rel=1e-12)
-
     def test_second_state_sits_higher(self, he_result):
         assert he_result.states[1].mean_z_nm > he_result.states[0].mean_z_nm
 
@@ -274,13 +293,6 @@ class TestSolveBoundStates:
     def test_count_validation(self, he_result):
         with pytest.raises(ValueError):
             solve_bound_states(build_potential(HE_SPEC), 0)
-
-    def test_report_on_sourceless_profile_interpolates(self):
-        profile = build_potential(HE_SPEC)
-        bare = zstates.PotentialProfile(profile.grid, profile.samples_ev,
-                                        profile.asymptote_ev)
-        result = solve_bound_states(bare, 1)
-        assert "interpolated" in result.convergence.note
 
 
 class TestConvergenceNote:

@@ -13,7 +13,8 @@ module builds sampled potential profiles for three variants
 and solves -hbar^2/(2 m_e) psi'' + V psi = E psi on a uniform grid with
 Dirichlet ends, using second-order centered differences.  The lowest
 eigenpairs of the tridiagonal Hamiltonian are obtained by Sturm-sequence
-bisection plus inverse iteration (LAPACK stebz/stein).  Every spec, grid and level count is range-checked
+bisection plus inverse iteration, calling LAPACK dstebz and then dstein
+once per level.  Every spec, grid and level count is range-checked
 (`units.checked`) before anything is allocated; barrier heights are
 capped at INFINITE_BARRIER_EV.
 
@@ -281,21 +282,39 @@ def _count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
-def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
-    """Lowest `count` eigenpairs in (eV, psi with sum psi^2 h = 1)."""
-    # imported here so that commands which never solve skip loading scipy
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
+def _hamiltonian(grid: GridSpec, v_ev: np.ndarray):
+    """kin = hbar^2/(2 m_e h^2), the potential, and the diagonal and
+    off-diagonal of the finite-difference Hamiltonian, all in Hartree."""
+    kin = 0.5 / (grid.h_A / BOHR_ANGSTROM) ** 2
+    pot = v_ev / HARTREE_EV
+    return kin, pot, 2.0 * kin + pot, np.full(grid.points - 1, -kin)
 
-    h_au = grid.h_A / BOHR_ANGSTROM
-    diag = 1.0 / h_au**2 + v_ev / HARTREE_EV
-    off = np.full(grid.points - 1, -0.5 / h_au**2)
-    try:
-        w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-    except LinAlgError as exc:
-        raise SolverError(
-            f"inverse iteration failed while refining states 0..{count - 1}: {exc}"
-        ) from exc
-    return w * HARTREE_EV, vecs / math.sqrt(grid.h_A)
+
+def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
+    """Lowest `count` eigenpairs in (eV, psi with sum psi^2 h = 1).
+
+    Bisection (stebz) for the energies, then inverse iteration (stein) one
+    energy per call: given several, stein reorthogonalizes every pair closer
+    than 1e-3 |T| (all bound states here) through BLAS, which ran up to 20x
+    slower under a multi-threaded BLAS.
+    """
+    # imported here so that commands which never solve skip loading scipy
+    from scipy.linalg.lapack import dstebz, dstein
+
+    _, _, diag, off = _hamiltonian(grid, v_ev)
+    found, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, count, 0.0, b"B")
+    if info != 0 or found != count:
+        raise SolverError(f"bisection found {found} of states 0..{count - 1} (info {info})")
+    order = np.argsort(w[:count], kind="stable")
+    vecs = np.empty((grid.points, count), order="F")
+    block = np.empty_like(iblock)        # stein reads the block of its one energy here
+    for k, j in enumerate(order):
+        block[0] = iblock[j]
+        col, info = dstein(diag, off, w[j:j + 1], block, isplit)
+        if info != 0:
+            raise SolverError(f"inverse iteration failed for state {k} (info {info})")
+        vecs[:, k] = col[:, 0]
+    return w[order] * HARTREE_EV, vecs / math.sqrt(grid.h_A)
 
 
 def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev):
@@ -313,10 +332,7 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev):
     from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
     n, m = grid.points, len(seeds_ev)
-    kin = 0.5 * (BOHR_ANGSTROM / grid.h_A) ** 2
-    pot = v_ev / HARTREE_EV
-    diag = 2.0 * kin + pot
-    off = np.full(n - 1, -kin)
+    kin, pot, diag, off = _hamiltonian(grid, v_ev)
     acc = 4.0 * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * kin)
     iblock = np.ones(n, dtype=np.int32)
     isplit = np.zeros(n, dtype=np.int32)
@@ -332,9 +348,7 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev):
     rho = np.empty(m)
     r = np.empty(m)
     for k in range(m):
-        # one seed per call: given several, stein reorthogonalizes every pair
-        # closer than 1e-3 |T| (all bound states here) through BLAS, which
-        # ran up to 20x slower under a multi-threaded BLAS
+        # one seed per call, as in _eigensolve
         col, info = dstein(diag, off, seeds[k:k + 1], iblock, isplit)
         if info != 0:
             raise SolverError(f"inverse iteration at seed {k} failed (info {info})")

@@ -66,7 +66,6 @@ def _render_json(columns, rows, extra=None) -> str:
 
 def _render_md(columns, rows, formats=None) -> str:
     formats = formats or {}
-
     table = [[_cell(r[c], formats.get(c, ".6g"), c) for c in columns] for r in rows]
     widths = [max(len(c), *(len(t[i]) for t in table)) if table else len(c)
               for i, c in enumerate(columns)]

@@ -49,13 +49,17 @@ from typing import IO, Union
 
 import numpy as np
 
-from .units import BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, PLANCK_EV_S, checked
+from .units import BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, NORMAL, PLANCK_EV_S, checked
 
 # Stand-in for a hard wall; penetration depth at 1 MeV is ~0.002 A, far
 # below any grid spacing used here.  Also the cap on every barrier height:
 # bisection's accuracy 4 eps |T| grows with the barrier and, above this,
 # moves the levels (at 1e9 eV, liquid 4He's dE_half_grid by 11%).
 INFINITE_BARRIER_EV = 1.0e6
+
+# Cap on the pressing field: at most that height per Angstrom, which keeps
+# e*E*z finite on every grid that passes GridSpec's checks.
+MAX_FIELD_V_PER_M = INFINITE_BARRIER_EV * 1e10
 
 # Largest grid any solve may build, checked before anything is allocated.
 # Memory grows as points x levels.  The convergence report's halving doubles
@@ -89,7 +93,8 @@ class RegularizedImage:
         checked(self.v0_ev, "V0 = {} eV", 0.0, INFINITE_BARRIER_EV, "(]")
         checked(self.eps_r, "eps_r = {}", 1.0, ends="(]")
         checked(self.b_A, "cutoff b = {} A", 0.0, ends="(]")
-        checked(self.pressing_field_v_per_m, "pressing field {} V/m")
+        checked(self.pressing_field_v_per_m, "pressing field {} V/m", -MAX_FIELD_V_PER_M,
+                MAX_FIELD_V_PER_M)
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,8 @@ class InfiniteBarrierImage:
 
     def __post_init__(self):
         checked(self.eps_r, "eps_r = {}", 1.0, ends="(]")
-        checked(self.pressing_field_v_per_m, "pressing field {} V/m")
+        checked(self.pressing_field_v_per_m, "pressing field {} V/m", -MAX_FIELD_V_PER_M,
+                MAX_FIELD_V_PER_M)
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,8 @@ class Interface:
             checked(v, "barrier {} eV", -INFINITE_BARRIER_EV, INFINITE_BARRIER_EV)
         checked(self.eps_r_below, "eps_r_below = {}", 1.0)
         checked(self.zeta_A, "zeta = {} A", 0.0, ends="(]")
-        checked(self.pressing_field_v_per_m, "pressing field {} V/m")
+        checked(self.pressing_field_v_per_m, "pressing field {} V/m", -MAX_FIELD_V_PER_M,
+                MAX_FIELD_V_PER_M)
 
 
 PotentialSpec = Union[RegularizedImage, InfiniteBarrierImage, Interface]
@@ -143,6 +150,8 @@ class GridSpec:
         checked(self.z_max_A, "grid z_max = {} A", 0.0, ends="(]")
         checked(self.points, "grid of {} points", 3, MAX_GRID_POINTS)
         checked(self.h_A, "grid spacing {} A", 0.0, ends="(]")
+        h_au = self.h_A / BOHR_ANGSTROM
+        checked(0.5 / h_au / h_au, f"the kinetic term of grid spacing {self.h_A:g} A", NORMAL)
 
     @property
     def h_A(self) -> float:
@@ -285,7 +294,7 @@ def _count_nodes(psi: np.ndarray) -> int:
 def _hamiltonian(grid: GridSpec, v_ev: np.ndarray):
     """kin = hbar^2/(2 m_e h^2), the potential, and the diagonal and
     off-diagonal of the finite-difference Hamiltonian, all in Hartree."""
-    kin = 0.5 / (grid.h_A / BOHR_ANGSTROM) ** 2
+    kin = 0.5 / (grid.h_A / BOHR_ANGSTROM) ** 2      # a normal double: see GridSpec
     pot = v_ev / HARTREE_EV
     return kin, pot, 2.0 * kin + pot, np.full(grid.points - 1, -kin)
 

@@ -360,8 +360,11 @@ class TestInputContract:
         (["states", "--substance", "4He", "--v0", "1e12"], "V0 = 1000000000000 eV"),
         (["table2", "--v0", "1e300"], "V0 = 1e+300 eV"),
         (["phase-diagram", "--gamma0", "127", "--points", "10001"], "--points 10001"),
+        (["states", "--substance", "4He", "--field", "1e17"], "pressing field 1e+17 V/m"),
+        (["states", "--substance", "4He", "--grid-h", "1e300", "--grid-zmax", "1e300"],
+         "kinetic term of grid spacing 1e+300 A"),
     ], ids=["gs-overflow", "gs-underflow", "larmor-inf", "imagecharge-inf", "states-v0",
-            "table2-v0", "points-cap"])
+            "table2-v0", "points-cap", "field-cap", "vast-grid"])
     def test_out_of_range_input_or_result_exits_2_naming_it(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -387,7 +390,7 @@ class TestInputContract:
 
 # Every subcommand with its numeric options: (option, required, values).
 NUMBERS = ("1e308", "1e-308", "5e-324", "0", "-2.5", "nan", "inf", "-inf",
-           "1", "0.7", "6.03", "127", "1e9")
+           "1", "0.7", "6.03", "127", "1e9", "1e200")
 COUNTS = ("1", "2", "0", "-1", "3")
 SURFACES = ("liquid 4He", "solid Ne")
 COMMANDS = [

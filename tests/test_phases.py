@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqls import units
 from eqls.phases import (
     G_MAX,
     X_PEAK,
@@ -24,7 +25,6 @@ from eqls.phases import (
     plasma_parameter,
     quantum_critical_density,
 )
-from eqls import units
 from eqls.units import BOLTZMANN_EV_PER_K, HARTREE_EV, HARTREE_K
 
 BOHR_CM = 0.529177210903e-8

@@ -112,11 +112,6 @@ def finite(text: str) -> float:
     return value
 
 
-def _registry(args):
-    path = args.substances or os.environ.get(ENV_SUBSTANCES) or None
-    return load_registry(path)
-
-
 def _add_common(p, substances=True):
     p.add_argument("--format", choices=_FORMATS, default="md",
                    help="output format (default md)")
@@ -124,11 +119,12 @@ def _add_common(p, substances=True):
     p.add_argument("--verbose", action="store_true", help="progress to stderr")
     if substances:
         p.add_argument("--substances", metavar="FILE",
+                       default=os.environ.get(ENV_SUBSTANCES) or None,
                        help=f"substance data file (default ${ENV_SUBSTANCES} or bundled)")
 
 
 def _cmd_table1(args) -> int:
-    reg = _registry(args)
+    reg = load_registry(args.substances)
     rows = [{"species": sp.name, "mass_amu": sp.mass_amu, "sigma_A": sp.sigma_A,
              "epsilon_K": sp.epsilon_K, "de_boer": de_boer(sp)}
             for sp in reg.species]
@@ -143,35 +139,34 @@ _TABLE2_MD = {"n_A3": ".4f", "a_s_A": ".2f", "eps_r": ".3f", "V0_eV": ".2f",
               "z1_nm": ".3g", "z2_nm": ".3g"}
 
 
-def _solve_surface(surface, b_override, v0_override):
-    spec = RegularizedImage(
-        v0_ev=v0_override if v0_override is not None else surface.barrier_v0_ev,
+def _surface_spec(surface, args, field=0.0) -> RegularizedImage:
+    """The surface's image potential, with --v0 and --b where given."""
+    return RegularizedImage(
+        v0_ev=args.v0 if args.v0 is not None else surface.barrier_v0_ev,
         eps_r=surface.dielectric_constant,
-        b_A=b_override if b_override is not None else surface.scattering_length_A,
+        b_A=args.b if args.b is not None else surface.scattering_length_A,
+        pressing_field_v_per_m=field,
     )
-    result = zstates.solve_bound_states(zstates.build_potential(spec), 2)
-    if result.convergence.note:
-        print(f"note: {surface.name}: {result.convergence.note}", file=sys.stderr)
-    if result.shortfall:
-        raise SolverError(
-            f"{surface.name}: found only {len(result.states)} of 2 bound states"
-        )
-    return result
 
 
 def _cmd_table2(args) -> int:
-    reg = _registry(args)
-    surfaces = [reg.get_surface(args.substance)] if args.substance else reg.surfaces
+    reg = load_registry(args.substances)
+    surfaces = reg.surfaces if args.substance is None else [reg.get_surface(args.substance)]
     rows = []
     for sf in surfaces:
         if args.verbose:
             print(f"solving {sf.name} ...", file=sys.stderr)
-        result = _solve_surface(sf, args.b, args.v0)
+        spec = _surface_spec(sf, args)
+        result = zstates.solve_bound_states(zstates.build_potential(spec), 2)
+        if result.convergence.note:
+            print(f"note: {sf.name}: {result.convergence.note}", file=sys.stderr)
+        if result.shortfall:
+            raise SolverError(f"{sf.name}: found only {len(result.states)} of 2 bound states")
         s1, s2 = result.states
         tr = zstates.transition(result.states, 0, 1)
         row = {"substance": sf.name, "n_A3": sf.number_density_A3,
                "a_s_A": sf.scattering_length_A, "eps_r": sf.dielectric_constant,
-               "V0_eV": args.v0 if args.v0 is not None else sf.barrier_v0_ev,
+               "V0_eV": spec.v0_ev,
                "E1_meV": s1.energy_mev, "E2_meV": s2.energy_mev,
                "dE_K": tr.de_k, "f_THz": tr.f_thz,
                "z1_nm": s1.mean_z_nm, "z2_nm": s2.mean_z_nm}
@@ -197,18 +192,14 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_states(args) -> int:
-    reg = _registry(args)
+    reg = load_registry(args.substances)
     sf = reg.get_surface(args.substance)
-    spec = RegularizedImage(
-        v0_ev=args.v0 if args.v0 is not None else sf.barrier_v0_ev,
-        eps_r=sf.dielectric_constant,
-        b_A=args.b if args.b is not None else sf.scattering_length_A,
-        pressing_field_v_per_m=args.field,
-    )
+    spec = _surface_spec(sf, args, args.field)
     grid = zstates.default_grid(spec, levels=args.levels)
-    if args.grid_h or args.grid_zmax:
-        grid = zstates.surface_grid(-20.0, args.grid_zmax or grid.z_max_A,
-                                    args.grid_h or grid.h_A)
+    if args.grid_h is not None or args.grid_zmax is not None:
+        grid = zstates.surface_grid(
+            -20.0, grid.z_max_A if args.grid_zmax is None else args.grid_zmax,
+            grid.h_A if args.grid_h is None else args.grid_h)
     result = zstates.solve_bound_states(zstates.build_potential(spec, grid), args.levels)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)

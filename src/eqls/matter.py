@@ -25,6 +25,11 @@ class RegistryError(ValueError):
     """Raised for malformed, incomplete, or inconsistent substance data."""
 
 
+def _check_name(name, kind: str) -> None:
+    if not isinstance(name, str) or not name:
+        raise RegistryError(f"{kind} name {name!r} is not a non-empty string")
+
+
 @dataclass(frozen=True)
 class ParticleSpecies:
     """Nonpolar atom or molecule with Lennard-Jones parameters."""
@@ -35,6 +40,7 @@ class ParticleSpecies:
     epsilon_K: float
 
     def __post_init__(self):
+        _check_name(self.name, "species")
         for field in ("mass_amu", "sigma_A", "epsilon_K"):
             checked(getattr(self, field), f"species {self.name!r}: {field} = {{}}", 0.0,
                     ends="(]", error=RegistryError)
@@ -65,6 +71,8 @@ class SubstanceSurface:
     density_limit_cm2: float | None = None
 
     def __post_init__(self):
+        _check_name(self.name, "surface")
+
         def above(value, field, low=0.0):
             checked(value, f"surface {self.name!r}: {field} = {{}}", low, ends="(]",
                     error=RegistryError)
@@ -198,7 +206,7 @@ def _parse(doc: dict, origin: str) -> SubstanceRegistry:
     for i, entry in enumerate(doc["species"]):
         where = f"{origin}: species[{i}]"
         _require(entry, _REQUIRED_SPECIES, where)
-        species.append(ParticleSpecies(str(entry["name"]),
+        species.append(ParticleSpecies(entry["name"],
                                        *_numbers(entry, _REQUIRED_SPECIES[1:], where)))
     surfaces = []
     for i, entry in enumerate(doc["surfaces"]):
@@ -216,7 +224,7 @@ def _parse(doc: dict, origin: str) -> SubstanceRegistry:
             ref = ReferenceRow(*values)
         limit = (_numbers(entry, ("density_limit_cm2",), where)[0]
                  if entry.get("density_limit_cm2") is not None else None)
-        surfaces.append(SubstanceSurface(str(entry["name"]),
+        surfaces.append(SubstanceSurface(entry["name"],
                                          *_numbers(entry, _REQUIRED_SURFACE[1:], where),
                                          reference=ref, density_limit_cm2=limit))
     return SubstanceRegistry(species, surfaces)

@@ -93,19 +93,21 @@ def _f1(eta: float) -> float:
     """First-order Fermi-Dirac integral: int_0^inf x/(exp(x-eta)+1) dx.
 
     For eta > 0 the exact reflection F1(eta) = eta^2/2 + pi^2/6 - F1(-eta)
-    is used, so quadrature only ever sees the classical side eta <= 0,
-    where the integrand x*expit(eta - x) is smooth and below 1e-20 relative
-    beyond x = 50.  Integrating the Fermi step at x = eta directly loses it
-    between quadrature nodes once eta is in the thousands, with an error
-    estimate that does not show it.
+    is used, so quadrature only ever sees the classical side c = -|eta|.
+    There it integrates x/(exp(x) + e^c), smooth and below 1e-20 relative
+    beyond x = 50, and scales value and error by e^c: as c nears -708 the
+    unscaled integrand would be subnormal, losing digits the error estimate
+    misses.  Integrating the Fermi step at x = eta directly loses it between
+    quadrature nodes once eta is in the thousands, also unseen by the estimate.
     """
     # imported here so that commands which never evaluate Gamma skip loading scipy
     from scipy.integrate import quad
-    from scipy.special import expit
 
-    classical = -abs(eta)
-    val, err = quad(lambda x: x * expit(classical - x), 0.0, 50.0,
+    weight = math.exp(-abs(eta))
+    val, err = quad(lambda x: x / (math.exp(x) + weight), 0.0, 50.0,
                     limit=200, epsabs=0.0, epsrel=1e-11)
+    val *= weight
+    err *= weight
     if eta > 0.0:
         val = 0.5 * eta * eta + math.pi**2 / 6.0 - val
     if err > _QUAD_RTOL * abs(val):

@@ -42,7 +42,6 @@ PLANCK_J_S = 6.62607015e-34
 HBAR_J_S = 1.054571817e-34
 ELECTRON_MASS_KG = 9.1093837015e-31
 BOHR_MAGNETON_J_PER_T = 9.2740100783e-24
-AMU_KG = 1.66053906660e-27
 
 # --- the same in the mixed eV/Angstrom/K system used at module boundaries ---
 PLANCK_EV_S = 4.135667696e-15

@@ -18,6 +18,10 @@ once per level.  Every spec, grid and level count is range-checked
 (`units.checked`) before anything is allocated; barrier heights are
 capped at INFINITE_BARRIER_EV.
 
+Each tail's strength is Z = (eps-1)/(4(eps+1)) in atomic units
+(`hydrogenic_charge`), Z * HARTREE_EV * BOHR_ANGSTROM in eV*A; the default
+grids scale with the hydrogenic length a_B/Z.
+
 Where nearby energies are already known, bisection is skipped: the
 halved grid of the convergence report starts from the base energies,
 each Richardson level from the one before, and each Stark field from the
@@ -163,17 +167,13 @@ class GridSpec:
 
 def surface_grid(z_min_A: float, z_max_A: float, h_A: float) -> GridSpec:
     """Grid with spacing ~h covering [z_min, z_max], z=0 midway between nodes."""
+    checked(z_min_A, "grid z_min = {} A", high=0.0, ends="[)")
+    checked(z_max_A, "grid z_max = {} A", 0.0, ends="(]")
     checked(h_A, "grid spacing {} A", 0.0, ends="(]")
     checked((z_max_A - z_min_A) / h_A, "grid of {} cells", 0.0, MAX_GRID_POINTS)
     m = int(math.ceil(-z_min_A / h_A - 0.5))
     p = int(math.ceil(z_max_A / h_A + 0.5))
     return GridSpec(-(m + 0.5) * h_A, (p - 0.5) * h_A, m + p + 1)
-
-
-def image_strength_ev_a(eps_r: float) -> float:
-    """Coefficient A in the image tail V = -A/z, in eV*Angstrom."""
-    checked(eps_r, "eps_r = {}", 1.0)
-    return (eps_r - 1.0) / (eps_r + 1.0) * HARTREE_EV * BOHR_ANGSTROM / 4.0
 
 
 def hydrogenic_charge(eps_r: float) -> float:
@@ -208,11 +208,10 @@ def default_grid(spec: PotentialSpec, levels: int = 2) -> GridSpec:
 
 @dataclass(frozen=True)
 class PotentialProfile:
-    """Sampled potential on a grid, with its z -> +inf asymptote (eV)."""
+    """Potential (eV) sampled on a grid."""
 
     grid: GridSpec
     samples_ev: np.ndarray
-    asymptote_ev: float
     source: PotentialSpec
     warnings: tuple[str, ...] = ()
 
@@ -225,21 +224,18 @@ def build_potential(spec: PotentialSpec, grid: GridSpec | None = None) -> Potent
     h = grid.h_A
     pos = z >= 0.0
     if isinstance(spec, RegularizedImage):
-        a = image_strength_ev_a(spec.eps_r)
+        a = hydrogenic_charge(spec.eps_r) * HARTREE_EV * BOHR_ANGSTROM
         v = np.where(pos, 0.0, spec.v0_ev)
         v[pos] = -a / (z[pos] + spec.b_A)
-        asymptote = 0.0
     elif isinstance(spec, InfiniteBarrierImage):
-        a = image_strength_ev_a(spec.eps_r)
+        a = hydrogenic_charge(spec.eps_r) * HARTREE_EV * BOHR_ANGSTROM
         v = np.where(pos, 0.0, INFINITE_BARRIER_EV)
         v[pos] = -a / np.maximum(z[pos], 0.5 * h)
-        asymptote = 0.0
     elif isinstance(spec, Interface):
-        a = image_strength_ev_a(spec.eps_r_below)
+        a = hydrogenic_charge(spec.eps_r_below) * HARTREE_EV * BOHR_ANGSTROM
         v = np.where(pos, 0.0, spec.v_barrier_below_ev)
         zc = np.maximum(z[pos], 0.5 * h)      # cap the z->0+ pole at half a cell
         v[pos] = -a / zc + spec.v_barrier_above_ev * np.tanh(z[pos] / spec.zeta_A) ** 2
-        asymptote = spec.v_barrier_above_ev
     else:
         raise TypeError(f"unsupported potential spec {type(spec).__name__}")
     if spec.pressing_field_v_per_m:
@@ -252,7 +248,7 @@ def build_potential(spec: PotentialSpec, grid: GridSpec | None = None) -> Potent
                 f"z_max = {grid.z_max_A:.1f} A is below 10x the expected ground-state "
                 f"height {extent:.1f} A; energies may not be converged"
             )
-    return PotentialProfile(grid, v, asymptote, spec, tuple(warnings))
+    return PotentialProfile(grid, v, spec, tuple(warnings))
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,13 @@ class TestClassify:
         assert doc["rows"][0]["phase"] == "classical Coulomb liquid"
         assert doc["rows"][0]["gamma"] == pytest.approx(93.012, rel=1e-3)
 
+    def test_gamma_at_the_smallest_degeneracy(self, capsys):
+        # E_F/kT = 2.8e-308: mpmath's -Li2(-(e^x - 1)) gives Gamma = 9.365993e-152
+        code, out, _ = run(capsys, "classify", "--density", "1e-297",
+                           "--temperature", "1", "--format", "csv")
+        assert code == 0
+        assert parse_csv(out)[0]["gamma"] == "9.365993e-152"
+
 
 class TestPhaseDiagram:
     def test_two_runs_are_byte_identical(self, capsys, tmp_path):
@@ -333,6 +340,8 @@ import sys
 def scipy_modules():
     return {m for m in sys.modules if m.split(".")[0] == "scipy"}
 import eqls
+loaded = sorted(m for m in sys.modules if m.startswith("eqls.") or m.split(".")[0] == "numpy")
+assert not loaded, loaded
 from eqls.cli import main
 assert not scipy_modules(), sorted(scipy_modules())
 assert main(["couple", "larmor", "--b-field", "1"]) == 0
@@ -363,13 +372,26 @@ class TestInputContract:
         (["states", "--substance", "4He", "--field", "1e17"], "pressing field 1e+17 V/m"),
         (["states", "--substance", "4He", "--grid-h", "1e300", "--grid-zmax", "1e300"],
          "kinetic term of grid spacing 1e+300 A"),
+        (["states", "--substance", "4He", "--grid-h", "0"], "grid spacing 0 A"),
+        (["states", "--substance", "4He", "--grid-zmax", "0"], "grid z_max = 0 A"),
+        (["states", "--substance", "4He", "--grid-zmax=-5"], "grid z_max = -5 A"),
     ], ids=["gs-overflow", "gs-underflow", "larmor-inf", "imagecharge-inf", "states-v0",
-            "table2-v0", "points-cap", "field-cap", "vast-grid"])
+            "table2-v0", "points-cap", "field-cap", "vast-grid", "zero-grid-h",
+            "zero-grid-zmax", "negative-grid-zmax"])
     def test_out_of_range_input_or_result_exits_2_naming_it(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and named in err and " is outside " in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["table2", "--substance", ""], "error: ambiguous surface ''"),
+        (["table2", "--substances", ""], "error: cannot read substance file"),
+    ], ids=["substance", "substances"])
+    def test_empty_name_is_used_not_replaced_by_the_default(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(message)
 
     def test_points_are_capped_before_the_temperatures_are_built(self, capsys, monkeypatch):
         def never(*args):

@@ -151,6 +151,14 @@ class TestRegistry:
         with pytest.raises(RegistryError, match=r"species\[0\]: mass_amu = .* is not a number"):
             load_registry(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("kind", ["species", "surfaces"])
+    @pytest.mark.parametrize("name", [None, 12, [1], ""])
+    def test_name_must_be_a_non_empty_string(self, tmp_path, kind, name):
+        doc = self._minimal()
+        doc[kind][0]["name"] = name
+        with pytest.raises(RegistryError, match=r"name .* is not a non-empty string"):
+            load_registry(self._write(tmp_path, doc))
+
     def test_zero_reference_value_names_field(self, tmp_path):
         # a reference value divides its residual, so zero is refused at load
         doc = self._minimal()

@@ -120,12 +120,13 @@ class TestKineticEnergy:
         n = n_for_ratio(1e3)
         assert abs(kinetic_energy(n, 1.0) / (fermi_energy(n) / 2) - 1.0) < 1e-3
 
-    @pytest.mark.parametrize("ratio", [1.0, 1e4, 3e4, 1e5])
+    @pytest.mark.parametrize("ratio", [3e-308, 1e-306, 1e-300, 1.0, 1e4, 3e4, 1e5])
     def test_midpoint_dilogarithm_closed_form(self, ratio):
         # K_e = (kT)^2/E_F * (-Li2(-e^(mu/kT))) with e^(mu/kT) = e^(E_F/kT) - 1;
-        # at E_F = kT the argument is -(e - 1)
+        # at E_F = kT the argument is -(e - 1).  expm1 keeps the tiny ratios,
+        # where 1 - exp rounds to 0.
         n = n_for_ratio(ratio)
-        li2 = -mpmath.polylog(2, 1 - mpmath.exp(ratio))
+        li2 = -mpmath.polylog(2, -mpmath.expm1(ratio))
         expected = float(li2 / ratio) * BOLTZMANN_EV_PER_K
         assert kinetic_energy(n, 1.0) == pytest.approx(expected, rel=1e-9)
         assert float(-mpmath.polylog(2, 1 - mpmath.e)) == pytest.approx(1.2775046, rel=1e-6)

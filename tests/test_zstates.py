@@ -66,18 +66,18 @@ class TestGrid:
     def test_halving_over_the_cap_fails_before_the_solve(self):
         # the samples are never read: the halved grid is checked first
         grid = GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS // 2 + 1)
-        profile = zstates.PotentialProfile(grid, np.zeros(3), 0.0, HE_SPEC)
+        profile = zstates.PotentialProfile(grid, np.zeros(3), HE_SPEC)
         with pytest.raises(ValueError, match=CAP):
             solve_bound_states(profile, 1)
 
     def test_count_is_capped_by_its_grid_before_the_solve(self):
         # the samples are never read: the count is checked first
-        small = zstates.PotentialProfile(GridSpec(-1.0, 1.0, 5), np.zeros(3), 0.0, HE_SPEC)
+        small = zstates.PotentialProfile(GridSpec(-1.0, 1.0, 5), np.zeros(3), HE_SPEC)
         with pytest.raises(ValueError, match=r"count 6 on a 5-point grid is outside \[1, 5\]"):
             solve_bound_states(small, 6, report_convergence=False)
         points = zstates.MAX_GRID_POINTS // 2
         block = zstates.MAX_EIGENVECTOR_BLOCK // points
-        big = zstates.PotentialProfile(GridSpec(-1.0, 1.0, points), np.zeros(3), 0.0, HE_SPEC)
+        big = zstates.PotentialProfile(GridSpec(-1.0, 1.0, points), np.zeros(3), HE_SPEC)
         with pytest.raises(ValueError, match=rf"is outside \[1, {block}\]"):
             solve_bound_states(big, block + 1, report_convergence=False)
 
@@ -135,7 +135,6 @@ class TestBuildPotential:
                          eps_r_below=1.0, zeta_A=1.0)
         profile = build_potential(spec)
         assert profile.samples_ev[-1] == pytest.approx(1.1, rel=1e-12)
-        assert profile.asymptote_ev == 1.1
 
     def test_interface_pole_capped_at_half_cell(self):
         grid = GridSpec(-2.0, 10.0, 13)       # node exactly at z=0

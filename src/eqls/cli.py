@@ -5,9 +5,9 @@ as machine-readable artifacts (csv/json) or human-readable markdown, run
 single computations, and expose the cQED estimators.
 
 Exit status: 0 success, 2 argument/data errors (every ValueError, which
-includes each input `units.checked` rejects and a non-finite result), 3
-numerical non-convergence.  Machine formats use 6 significant digits in
-scientific notation; csv and json carry identical numeric payloads.
+includes each input `units.checked` rejects and a non-finite result), 3 a
+numerical failure (`units.SolverError`).  Machine formats use 6 significant
+digits in scientific notation; csv and json carry identical numeric payloads.
 Progress, warnings and notes go to stderr, keeping stdout parseable.
 """
 
@@ -22,11 +22,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import cqed, phases, zstates
+from . import cqed, phases  # zstates, and numpy with it, only in the commands that solve
 from .matter import de_boer, load_registry
-from .phases import ConvergenceError
-from .units import checked
-from .zstates import RegularizedImage, SolverError
+from .units import SolverError, checked
 
 ENV_SUBSTANCES = "EQLS_SUBSTANCES"
 
@@ -139,9 +137,10 @@ _TABLE2_MD = {"n_A3": ".4f", "a_s_A": ".2f", "eps_r": ".3f", "V0_eV": ".2f",
               "z1_nm": ".3g", "z2_nm": ".3g"}
 
 
-def _surface_spec(surface, args, field=0.0) -> RegularizedImage:
-    """The surface's image potential, with --v0 and --b where given."""
-    return RegularizedImage(
+def _surface_spec(surface, args, field=0.0):
+    """The surface's `zstates.RegularizedImage`, with --v0 and --b where given."""
+    from . import zstates
+    return zstates.RegularizedImage(
         v0_ev=args.v0 if args.v0 is not None else surface.barrier_v0_ev,
         eps_r=surface.dielectric_constant,
         b_A=args.b if args.b is not None else surface.scattering_length_A,
@@ -150,6 +149,7 @@ def _surface_spec(surface, args, field=0.0) -> RegularizedImage:
 
 
 def _cmd_table2(args) -> int:
+    from . import zstates
     reg = load_registry(args.substances)
     surfaces = reg.surfaces if args.substance is None else [reg.get_surface(args.substance)]
     rows = []
@@ -192,6 +192,7 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_states(args) -> int:
+    from . import zstates
     reg = load_registry(args.substances)
     sf = reg.get_surface(args.substance)
     spec = _surface_spec(sf, args, args.field)
@@ -400,7 +401,7 @@ def main(argv=None) -> int:
     except ValueError as exc:          # RegistryError, and every input or result refused
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ConvergenceError) as exc:
+    except SolverError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -235,6 +235,8 @@ def load_registry(path: str | Path | None = None) -> SubstanceRegistry:
     if path is None:
         text = resources.files("eqls.data").joinpath("substances.json").read_text("utf-8")
         origin = "bundled substances.json"
+    elif path == "":                # Path("") would read the directory "."
+        raise RegistryError("cannot read substance file '': the path is empty")
     else:
         path = Path(path)
         try:

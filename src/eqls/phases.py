@@ -31,22 +31,19 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .units import BOHR_CM, HARTREE_EV, HARTREE_K, NORMAL, checked
+from .units import BOHR_CM, HARTREE_EV, HARTREE_K, NORMAL, SolverError, checked
 
 _AB2_CM2 = BOHR_CM**2          # cm^2 per Bohr-radius^2
 
 DEFAULT_GAMMA0 = 127.0         # classical-melting threshold (Monte Carlo)
 
 _QUAD_RTOL = 1e-8              # contract tolerance for the kinetic integral
+_ROOT_RTOL = 1e-4              # relative tolerance of each melting density
 
 X_PEAK = 2.3570770804214027    # E_F/kT at the maximum of Gamma over n at fixed T
 G_MAX = 0.8845013770751479     # that maximum of Gamma * sqrt(kT / Hartree)
 
 MAX_CURVE_POINTS = 10_000      # temperatures per melting curve, about 5 ms each
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when quadrature or root bracketing fails to converge."""
 
 
 def _n_au(n_cm2: float) -> float:
@@ -111,7 +108,7 @@ def _f1(eta: float) -> float:
     if eta > 0.0:
         val = 0.5 * eta * eta + math.pi**2 / 6.0 - val
     if err > _QUAD_RTOL * abs(val):
-        raise ConvergenceError(
+        raise SolverError(
             f"kinetic-energy quadrature reached {err / abs(val):.1e} relative, "
             f"requested {_QUAD_RTOL:.0e}"
         )
@@ -201,12 +198,11 @@ def _classical_root_cm2(gamma0: float, t_k: float) -> float:
     return (gamma0 * _kt_au(t_k)) ** 2 / math.pi / _AB2_CM2
 
 
-def _bisect_log_n(t_k: float, gamma0: float, ln_below: float, ln_above: float,
-                  rtol: float = 1e-4) -> float:
+def _bisect_log_n(t_k: float, gamma0: float, ln_below: float, ln_above: float) -> float:
     """Root of Gamma(n, T) = gamma0 on log n, between a density where Gamma is
     below gamma0 and one where it is above."""
     a, b = ln_below, ln_above
-    while abs(b - a) > rtol:       # log-space interval ~ relative tolerance in n
+    while abs(b - a) > _ROOT_RTOL:  # log-space interval ~ relative tolerance in n
         m = 0.5 * (a + b)
         fm = plasma_parameter(math.exp(m), t_k) - gamma0
         if fm == 0.0:

@@ -26,8 +26,8 @@ Temperatures are treated as thermal-equivalent energies (via k_B) and
 frequencies as photon-equivalent energies (via h); converting between any
 two members of the energy family is therefore allowed.
 
-`checked` is the package's one input check: every dataclass, public numeric
-entry point and printed result goes through it.
+`checked` is the one input check of every dataclass, public numeric entry
+point and printed result, and `SolverError` the one numerical failure.
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ def checked(value, name: str, low: float = -math.inf, high: float = math.inf,
                 f"{high:.15g}{')' if high == math.inf else ends[1]}")
     shown = f"{value:.15g}" if isinstance(value, float) else str(value)
     raise error(f"{name.replace('{}', shown)} is outside {span}")
+
+
+class SolverError(RuntimeError):
+    """A numerical method did not converge or could not certify its result."""
 
 
 class Unit(Enum):

@@ -53,7 +53,8 @@ from typing import IO, Union
 
 import numpy as np
 
-from .units import BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, NORMAL, PLANCK_EV_S, checked
+from .units import (BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, NORMAL, PLANCK_EV_S,
+                    SolverError, checked)
 
 # Stand-in for a hard wall; penetration depth at 1 MeV is ~0.002 A, far
 # below any grid spacing used here.  Also the cap on every barrier height:
@@ -78,10 +79,6 @@ MAX_EIGENVECTOR_BLOCK = 1 << 24
 # Outer/inner fractions of the domain used to detect box-artifact states.
 _EDGE_FRACTION = 0.1
 _EDGE_MASS_TOL = 1e-4
-
-
-class SolverError(RuntimeError):
-    """Raised when the eigensolver fails to converge."""
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ class TestTable2:
         def boom(*args, **kwargs):
             raise SolverError("inverse iteration failed while refining states 0..1")
 
-        monkeypatch.setattr("eqls.cli.zstates.solve_bound_states", boom)
+        monkeypatch.setattr("eqls.zstates.solve_bound_states", boom)
         code, _, err = run(capsys, "table2", "--substance", "solid Ne")
         assert code == 3
         assert "inverse iteration" in err
@@ -173,6 +173,13 @@ class TestClassify:
                            "--temperature", "1", "--format", "csv")
         assert code == 0
         assert parse_csv(out)[0]["gamma"] == "9.365993e-152"
+
+    def test_quadrature_failure_exits_3(self, capsys, monkeypatch):
+        # the quadrature is imported at call time, so the patched one is used
+        monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (1.0, 1e-3))
+        code, out, err = run(capsys, "classify", "--density", "1e9", "--temperature", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: kinetic-energy quadrature reached")
 
 
 class TestPhaseDiagram:
@@ -347,8 +354,9 @@ assert not scipy_modules(), sorted(scipy_modules())
 assert main(["couple", "larmor", "--b-field", "1"]) == 0
 assert main(["table1"]) == 0
 assert not scipy_modules(), sorted(scipy_modules())
+assert "numpy" not in sys.modules
 assert main(["states", "--substance", "4He"]) == 0
-assert "scipy.linalg" in sys.modules
+assert "numpy" in sys.modules and "scipy.linalg" in sys.modules
 assert not {"scipy.integrate", "scipy.optimize"} & scipy_modules(), sorted(scipy_modules())
 """
         proc = subprocess.run(
@@ -392,6 +400,11 @@ class TestInputContract:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(message)
+
+    def test_empty_substance_path_is_named_as_given(self, capsys):
+        code, out, err = run(capsys, "table2", "--substances", "")
+        assert code == 2 and out == ""
+        assert "''" in err and "'.'" not in err
 
     def test_points_are_capped_before_the_temperatures_are_built(self, capsys, monkeypatch):
         def never(*args):

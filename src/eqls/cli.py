@@ -264,14 +264,11 @@ def _cmd_phase_diagram(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    label = phases.classify(args.density, args.temperature, args.gamma0)
-    if args.format == "md":
-        _emit(args, label.value + "\n")
-    else:
-        point = phases.electron_gas_point(args.density, args.temperature)
-        rows = [{"density_cm2": args.density, "temperature_K": args.temperature,
-                 "gamma0": args.gamma0, "gamma": point.gamma, "phase": label.value}]
-        _emit_table(args, list(rows[0].keys()), rows)
+    checked(args.gamma0, "gamma0 = {}", 0.0, ends="(]")
+    point = phases.electron_gas_point(args.density, args.temperature)
+    _emit_row(args, {"density_cm2": args.density, "temperature_K": args.temperature,
+                     "gamma0": args.gamma0, "gamma": point.gamma,
+                     "phase": point.phase(args.gamma0).value}, "{phase}")
     return 0
 
 

@@ -54,6 +54,11 @@ def _kt_au(t_k: float) -> float:
     return t_k / HARTREE_K
 
 
+def _n_cm2(x: float, kt: float) -> float:
+    """Density in cm^-2 at which E_F/kT = x, for kT in Hartree."""
+    return x * kt / math.pi / _AB2_CM2
+
+
 def fermi_energy(n_cm2: float) -> float:
     """2D Fermi energy pi*hbar^2*n/m_e in eV (spin degeneracy 2 included)."""
     checked(n_cm2, "density {} cm^-2", 0.0)
@@ -155,35 +160,31 @@ class ElectronGasPoint:
     coulomb_energy_ev: float
     gamma: float
 
+    def phase(self, gamma0: float) -> PhaseLabel:
+        """Quantum iff E_F >= kT (quantum on equality); solid iff Gamma >= gamma0,
+        gas iff Gamma <= 1, liquid in between."""
+        quantum = self.fermi_energy_ev >= self.temperature_k * HARTREE_EV / HARTREE_K
+        if self.gamma >= gamma0:
+            return PhaseLabel.QUANTUM_WIGNER_SOLID if quantum else PhaseLabel.CLASSICAL_WIGNER_SOLID
+        if self.gamma <= 1.0:
+            return PhaseLabel.QUANTUM_FERMI_GAS if quantum else PhaseLabel.CLASSICAL_COULOMB_GAS
+        return PhaseLabel.QUANTUM_FERMI_LIQUID if quantum else PhaseLabel.CLASSICAL_COULOMB_LIQUID
+
 
 def electron_gas_point(n_cm2: float, t_k: float) -> ElectronGasPoint:
-    k_e = kinetic_energy(n_cm2, t_k)
+    """Energies and Gamma at (n, T), range-checking n before T."""
+    e_f = fermi_energy(n_cm2)
     u_e = coulomb_energy(n_cm2)
-    return ElectronGasPoint(
-        density_cm2=n_cm2,
-        temperature_k=t_k,
-        fermi_energy_ev=fermi_energy(n_cm2),
-        chemical_potential_ev=chemical_potential(n_cm2, t_k),
-        kinetic_energy_ev=k_e,
-        coulomb_energy_ev=u_e,
-        gamma=u_e / k_e,
-    )
+    k_e = kinetic_energy(n_cm2, t_k)
+    return ElectronGasPoint(density_cm2=n_cm2, temperature_k=t_k, fermi_energy_ev=e_f,
+                            chemical_potential_ev=chemical_potential(n_cm2, t_k),
+                            kinetic_energy_ev=k_e, coulomb_energy_ev=u_e, gamma=u_e / k_e)
 
 
 def classify(n_cm2: float, t_k: float, gamma0: float = DEFAULT_GAMMA0) -> PhaseLabel:
-    """Phase of the 2D electron system at (n, T).
-
-    Quantum iff E_F >= kT (quantum on equality); solid iff Gamma >= gamma0,
-    gas iff Gamma <= 1, liquid in between.
-    """
+    """Phase of the 2D electron system at (n, T): `ElectronGasPoint.phase`."""
     checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
-    quantum = fermi_energy(n_cm2) >= t_k * HARTREE_EV / HARTREE_K
-    gamma = plasma_parameter(n_cm2, t_k)
-    if gamma >= gamma0:
-        return PhaseLabel.QUANTUM_WIGNER_SOLID if quantum else PhaseLabel.CLASSICAL_WIGNER_SOLID
-    if gamma <= 1.0:
-        return PhaseLabel.QUANTUM_FERMI_GAS if quantum else PhaseLabel.CLASSICAL_COULOMB_GAS
-    return PhaseLabel.QUANTUM_FERMI_LIQUID if quantum else PhaseLabel.CLASSICAL_COULOMB_LIQUID
+    return electron_gas_point(n_cm2, t_k).phase(gamma0)
 
 
 def quantum_critical_density(gamma0: float) -> float:
@@ -191,11 +192,6 @@ def quantum_critical_density(gamma0: float) -> float:
     checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
     return checked(4.0 / math.pi / gamma0 / gamma0 / _AB2_CM2,
                    f"the quantum melting density for gamma0 = {gamma0:g}", NORMAL)
-
-
-def _classical_root_cm2(gamma0: float, t_k: float) -> float:
-    """Classical-limit melting density (Gamma_cl = gamma0), used as a bracket seed."""
-    return (gamma0 * _kt_au(t_k)) ** 2 / math.pi / _AB2_CM2
 
 
 def _bisect_log_n(t_k: float, gamma0: float, ln_below: float, ln_above: float) -> float:
@@ -215,24 +211,26 @@ def _bisect_log_n(t_k: float, gamma0: float, ln_below: float, ln_above: float) -
 
 
 def melting_roots(gamma0: float, t_k: float) -> tuple[float, float] | None:
-    """The two melting densities (n_c1, n_c2) at T, or None above the dome.
+    """The two melting densities (n_c1, n_c2) at T, or None above the dome,
+    where g0 = gamma0 sqrt(kT) exceeds G_MAX (T > T_c; no Gamma is evaluated).
 
     Each root is bisected on its own side of the peak n = X_PEAK kT/pi, from
-    a bracket end where Gamma is at most gamma0/sqrt(10): a tenth of the
-    classical root below, ten times n* above.
+    a bracket end where Gamma <= gamma0/sqrt(10): g(x) lies below its limits
+    sqrt(x) (classical) and 2/sqrt(x) (degenerate), which equal g0/sqrt(10)
+    at x = g0^2/10 and x = 40/g0^2, a tenth of the classical root and 10 n*.
     """
     checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
     checked(t_k, "temperature {} K", 0.0, ends="(]")
-    n_peak = checked(X_PEAK * _kt_au(t_k) / math.pi / _AB2_CM2,
-                     f"the peak density at {t_k:g} K", NORMAL)
-    gamma_peak = plasma_parameter(n_peak, t_k)
-    if gamma_peak < gamma0:
+    kt = _kt_au(t_k)
+    n_peak = checked(_n_cm2(X_PEAK, kt), f"the peak density at {t_k:g} K", NORMAL)
+    g0 = gamma0 * math.sqrt(kt)
+    if g0 > G_MAX:
         return None
-    if gamma_peak == gamma0:
+    if g0 == G_MAX:
         return n_peak, n_peak
-    where = f"the melting-root bracket for gamma0 = {gamma0:g} at {t_k:g} K"
-    lo = checked(_classical_root_cm2(gamma0, t_k) / 10.0, where, NORMAL)
-    hi = checked(quantum_critical_density(gamma0) * 10.0, where, NORMAL)
+    where = f"the melting-root bracket for gamma0 = {gamma0:g} at temperature {t_k:g} K"
+    lo = checked(_n_cm2(g0 * g0 / 10.0, kt), where, NORMAL)
+    hi = checked(_n_cm2(40.0 / (g0 * g0), kt), where, NORMAL)
     ln_peak = math.log(n_peak)
     return (_bisect_log_n(t_k, gamma0, math.log(lo), ln_peak),
             _bisect_log_n(t_k, gamma0, math.log(hi), ln_peak))
@@ -259,8 +257,7 @@ def critical_point(gamma0: float) -> tuple[float, float]:
     checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
     ratio = G_MAX / gamma0
     kt_c = checked(ratio * ratio, f"the dome apex for gamma0 = {gamma0:g}", NORMAL)
-    n_c = checked(X_PEAK * kt_c / math.pi / _AB2_CM2,
-                  f"the apex density for gamma0 = {gamma0:g}", NORMAL)
+    n_c = checked(_n_cm2(X_PEAK, kt_c), f"the apex density for gamma0 = {gamma0:g}", NORMAL)
     return kt_c * HARTREE_K, n_c
 
 

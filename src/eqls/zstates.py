@@ -470,6 +470,10 @@ def solve_bound_states(profile: PotentialProfile, count: int,
             notes.append(f"cutoff b = {source.b_A:.3g} A is below the grid spacing "
                          f"h = {profile.grid.h_A:.3g} A, so the halving change "
                          f"under-reports the error")
+        if isinstance(source, Interface):
+            notes.append("the interface energy follows the half-cell cap on the 1/z pole "
+                         "and falls by about 0.1 eV per halving, so the halving change "
+                         "is not an error estimate")
         report = ConvergenceReport(profile.grid.h_A, fine.h_A, change, "; ".join(notes))
     return SolveResult(tuple(states), count, count - len(states), report,
                        tuple(warnings))

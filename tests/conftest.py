@@ -1,6 +1,20 @@
 import pytest
 
-from eqls import matter, zstates
+from eqls import matter, phases, zstates
+
+
+@pytest.fixture
+def f1_calls(monkeypatch):
+    """The arguments of every `phases._f1` call made while the test runs."""
+    calls = []
+    f1 = phases._f1
+
+    def counted(eta):
+        calls.append(eta)
+        return f1(eta)
+
+    monkeypatch.setattr(phases, "_f1", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

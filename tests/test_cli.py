@@ -181,6 +181,12 @@ class TestClassify:
         assert code == 3 and out == ""
         assert err.startswith("numerical error: kinetic-energy quadrature reached")
 
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_one_kinetic_integral_per_point(self, capsys, f1_calls, fmt):
+        code, _, _ = run(capsys, "classify", "--density", "1e9", "--temperature", "1",
+                         "--format", fmt)
+        assert code == 0 and len(f1_calls) == 1
+
 
 class TestPhaseDiagram:
     def test_two_runs_are_byte_identical(self, capsys, tmp_path):
@@ -286,6 +292,20 @@ class TestCouple:
                          "--gamma-rate", "80", "--format", "csv")
         assert parse_csv(out1)[0]["strong"] == "true"
         assert parse_csv(out2)[0]["strong"] == "false"
+
+
+class TestVerbose:
+    @pytest.mark.parametrize("argv, progress", [
+        (["table2", "--substance", "Ne", "--format", "csv"], "solving solid Ne ...\n"),
+        (["phase-diagram", "--gamma0", "127", "--points", "5", "--format", "csv"],
+         "tracing melting curve at 5 temperatures ...\n"),
+    ], ids=["table2", "phase-diagram"])
+    def test_progress_goes_to_stderr_only(self, capsys, argv, progress):
+        code, out, err = run(capsys, *argv)
+        loud_code, loud_out, loud_err = run(capsys, *argv, "--verbose")
+        assert code == loud_code == 0
+        assert loud_out == out
+        assert progress in loud_err and progress not in err
 
 
 class TestPlumbing:

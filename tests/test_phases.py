@@ -247,6 +247,24 @@ class TestMeltingRoots:
         roots = melting_roots(127.0, 0.05)
         assert roots[1] == pytest.approx(quantum_critical_density(127.0), rel=1e-3)
 
+    def test_above_the_dome_evaluates_no_kinetic_integral(self, f1_calls):
+        assert melting_roots(127.0, 20.0) is None
+        assert f1_calls == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(gamma0=st.floats(math.log(5.0), math.log(2000.0)).map(math.exp),
+           gamma1=st.floats(math.log(5.0), math.log(2000.0)).map(math.exp),
+           fraction=st.floats(1e-3, 0.99))
+    def test_universal_curve(self, gamma0, gamma1, fraction):
+        # Gamma sqrt(kT) depends on n and T only through E_F/kT, so the curve
+        # of gamma1 is that of gamma0 with T and n both scaled by (gamma0/gamma1)^2
+        s = (gamma0 / gamma1) ** 2
+        t = fraction * critical_point(gamma0)[0]
+        roots, scaled = melting_roots(gamma0, t), melting_roots(gamma1, s * t)
+        assert (roots is None) == (scaled is None)
+        if roots is not None:
+            assert scaled == pytest.approx((s * roots[0], s * roots[1]), rel=1e-12)
+
 
 class TestCriticalPoint:
     def test_standard_dome_apex(self):

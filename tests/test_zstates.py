@@ -308,6 +308,15 @@ class TestConvergenceNote:
             assert surface.scattering_length_A >= 1.2 * result.convergence.h_A
             assert result.convergence.note == ""
 
+    def test_interface_solve_is_noted_as_not_converged(self):
+        # the pocket energy follows the half-cell cap on the 1/z pole: one
+        # halving moves it by 95.8 meV, and further halvings keep moving it
+        spec = Interface(0.7, 1.1, 1.244, 1.0)
+        result = solve_bound_states(build_potential(spec), 1)
+        assert result.convergence.energy_change_mev[0] > 50.0
+        assert "follows the half-cell cap" in result.convergence.note
+        assert "not an error estimate" in result.convergence.note
+
     def test_note_is_joined_to_an_earlier_one(self, monkeypatch):
         def fail(*args):
             raise zstates.SolverError("forced")
@@ -493,6 +502,44 @@ class TestStarkScan:
             assert point.state.node_count == 0
             assert point.state.mean_z_nm == pytest.approx(alone.states[0].mean_z_nm,
                                                           rel=1e-9)
+
+
+class TestIdentityOracles:
+    """Exact identities that tie units, potentials, grids and the eigensolver."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0), b=st.floats(0.05, 2.0),
+           field=st.floats(50.0, 3e4))
+    def test_stark_slope_is_the_mean_height_above_the_surface(self, eps, v0, b, field):
+        # Hellmann-Feynman: the field adds e F z on z >= 0 only, so
+        # dE0/dF = e <z>_+, which is 1e-7 <z>_+ (z in A) in meV per V/m.  The
+        # central differences over +-25 and +-50 V/m are combined to cancel
+        # their O(dF^2) error: alone, the +-50 one is 1.5e-4 off at eps = 1.02
+        spec = RegularizedImage(v0_ev=v0, eps_r=eps, b_A=b)
+        grid = default_grid(spec)
+        points = stark_scan(spec, [field + d for d in (-50.0, -25.0, 0.0, 25.0, 50.0)], grid)
+        e = [p.state.energy_mev for p in points]
+        slope = (4.0 * (e[3] - e[1]) / 50.0 - (e[4] - e[0]) / 100.0) / 3.0
+        z, psi = points[2].state.z_A, points[2].state.psi
+        above = z >= 0.0
+        expected = 1e-7 * np.sum(z[above] * psi[above] ** 2) * grid.h_A
+        assert slope == pytest.approx(expected, rel=1e-4)
+
+    def test_levels_in_hydrogenic_units_do_not_depend_on_eps(self):
+        # with z and b in a_B/Z and V0 in Z^2 Ha the Hamiltonian is Z^2 times
+        # one eps-free operator, on grids scaled the same way
+        reduced = []
+        for eps in np.linspace(1.02, 1.4, 13):
+            charge = zstates.hydrogenic_charge(eps)
+            length = BOHR_ANGSTROM / charge
+            energy = charge * charge * HARTREE_EV         # Z^2 Ha in eV
+            spec = RegularizedImage(v0_ev=2000.0 * energy, eps_r=eps, b_A=0.05 * length)
+            grid = surface_grid(-length, 60.0 * length, length / 200.0)
+            result = solve_bound_states(build_potential(spec, grid), 3,
+                                        report_convergence=False)
+            assert result.shortfall == 0
+            reduced.append([s.energy_mev * 1e-3 / energy for s in result.states])
+        assert np.array(reduced) == pytest.approx(np.array([reduced[0]] * 13), rel=1e-8)
 
 
 class TestWavefunctionDump:

@@ -255,8 +255,7 @@ def _cmd_phase_diagram(args) -> int:
             "gamma0": curve.gamma0,
             "critical": {k: _json_value(v, k) for k, v in critical.items()}}))
     else:
-        text = _render_md(columns, rows,
-                          {"T_K": ".3f", "n_c1_cm2": ".4g", "n_c2_cm2": ".4g"})
+        text = _render_md(columns, rows, {"n_c1_cm2": ".4g", "n_c2_cm2": ".4g"})
         t_c, n_c, n_star = (_cell(v, ".3g", k) for k, v in critical.items())
         text += f"\ncritical point: T_c = {t_c} K, n_c = {n_c} cm^-2, n* = {n_star} cm^-2\n"
         _emit(args, text)

@@ -11,28 +11,29 @@ module builds sampled potential profiles for three variants
                        -(eps-1)/(eps+1) e^2/4z + V_above tanh^2(z/zeta)
 
 and solves -hbar^2/(2 m_e) psi'' + V psi = E psi on a uniform grid with
-Dirichlet ends, using second-order centered differences.  The lowest
-eigenpairs of the tridiagonal Hamiltonian are obtained by Sturm-sequence
-bisection plus inverse iteration, calling LAPACK dstebz and then dstein
-once per level.  Every spec, grid and level count is range-checked
-(`units.checked`) before anything is allocated; barrier heights are
-capped at INFINITE_BARRIER_EV.
+Dirichlet ends, using second-order centered differences.  Sturm-sequence
+bisection plus inverse iteration (LAPACK dstebz, then dstein once per
+level) finds the lowest eigenpairs of the tridiagonal Hamiltonian on one
+grid per spectrum: the grid 4x coarser than the one asked for.  Every
+spec, grid and level count is range-checked (`units.checked`) before
+anything is allocated; barrier heights are capped at INFINITE_BARRIER_EV.
 
 Each tail's strength is Z = (eps-1)/(4(eps+1)) in atomic units
 (`hydrogenic_charge`), Z * HARTREE_EV * BOHR_ANGSTROM in eV*A; the default
 grids scale with the hydrogenic length a_B/Z.
 
-Where nearby energies are already known, bisection is skipped: the
-halved grid of the convergence report starts from the base energies,
-each Richardson level from the one before, and each Stark field from the
-previous field's ground state.  `_refine` runs inverse iteration at those
-seeds and one Rayleigh-quotient step, then certifies the result: every
-residual r bounds the distance to an eigenvalue, the intervals rho +- r
-are disjoint, one Sturm count finds no other eigenvalue below the top one
-(plus a gap g), and each r^2/gap is within bisection's own accuracy
-4 eps |T|.  Where any of this fails, the solve falls back to bisection, so
-every energy is either certified or computed by bisection.  Every solve
-without a seed (each spectrum's base grid, the first Stark field) bisects.
+Every finer solve starts from eigenpairs already in hand: the requested
+grid from the coarse one, the halved grid of the convergence report and
+each Richardson level from the grid below, and each Stark field from the
+previous field's ground state.  `_refine` interpolates those vectors onto
+the grid and runs Rayleigh-quotient iteration from the known energies,
+then certifies the result: every residual r bounds the distance to an
+eigenvalue, the intervals rho +- r are disjoint, one Sturm count finds no
+other eigenvalue below the top one (plus a gap g), and each r^2/gap is
+within bisection's own accuracy 4 eps |T|.  Where any of this fails, the
+solve falls back to bisection on its own grid, so every energy is either
+certified to that accuracy or computed by bisection.  Grids too small to
+coarsen (under 64 coarse points per level) are bisected directly.
 
 Default grids place z = 0 exactly midway between two nodes.  With the
 potential step between nodes, every grid cell lies on a single branch of
@@ -75,6 +76,15 @@ MAX_GRID_POINTS = 1 << 20
 # Largest points x count block of eigenvectors a solve may allocate (128 MB);
 # the default grids of up to 27 levels stay below it.
 MAX_EIGENVECTOR_BLOCK = 1 << 24
+
+# Bisection runs on the grid 4x coarser than the one asked for, unless that
+# would have fewer points than this per level; the finer grid is then bisected.
+_COARSE_POINTS_PER_LEVEL = 64
+
+# Linear solves per level before `_refine` gives up (the benchmark's spectra need
+# 2-4 on average), and the move of the unit vector at which it stops.
+_MAX_REFINE_SOLVES = 6
+_REFINE_STEP = 1e-9
 
 # Outer/inner fractions of the domain used to detect box-artifact states.
 _EDGE_FRACTION = 0.1
@@ -319,26 +329,28 @@ def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
     return w[order] * HARTREE_EV, vecs / math.sqrt(grid.h_A)
 
 
-def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev):
+def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
+            start_vecs: np.ndarray):
     """Lowest `len(seeds_ev)` eigenpairs near the seed energies, certified.
 
-    Same (eV, psi with sum psi^2 h = 1) form as `_eigensolve`.  Inverse
-    iteration (stein) at the seeds, then one Rayleigh-quotient step per
-    vector (gtsv).  Rayleigh quotient and residual use differences of psi,
-    so the 1/h^2 diagonal never cancels.  The pairs are certified as the
-    lowest ones to within the bisection accuracy acc = 4 eps |T|_1: every
-    interval rho_k +- r_k holds an eigenvalue, the intervals are disjoint,
-    one Sturm count (stebz) finds exactly m eigenvalues below rho_top + g,
-    and each r^2/gap is at most acc.  Raises SolverError otherwise.
+    Same (eV, psi with sum psi^2 h = 1) form as `_eigensolve`.  Column k
+    of `start_vecs`, sampled at `start_z`, is interpolated onto the grid and
+    run through Rayleigh-quotient iteration (gtsv): the first shift is seed
+    k, each later one the Rayleigh quotient, until the unit vector moves by
+    at most _REFINE_STEP, in at most _MAX_REFINE_SOLVES solves.  Rayleigh
+    quotient and residual use differences of psi, so the 1/h^2 diagonal
+    never cancels.  The pairs are certified as the lowest ones to within
+    the bisection accuracy acc = 4 eps |T|_1: every interval rho_k +- r_k
+    holds an eigenvalue, the intervals are disjoint, one Sturm count
+    (stebz) finds exactly m eigenvalues below rho_top + g, and each r^2/gap
+    is at most acc.  Raises SolverError otherwise.
     """
-    from scipy.linalg.lapack import dgtsv, dstebz, dstein
+    from scipy.linalg.lapack import dgtsv, dstebz
 
     n, m = grid.points, len(seeds_ev)
     kin, pot, diag, off = _hamiltonian(grid, v_ev)
     acc = 4.0 * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * kin)
-    iblock = np.ones(n, dtype=np.int32)
-    isplit = np.zeros(n, dtype=np.int32)
-    isplit[0] = n
+    z = grid.nodes()
     seeds = np.asarray(seeds_ev, dtype=float) / HARTREE_EV
 
     def quotient(psi):
@@ -346,22 +358,35 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev):
         dpsi = np.diff(psi, prepend=0.0, append=0.0)
         return kin * float(dpsi @ dpsi) + float((pot * psi) @ psi), dpsi
 
+    def unit(col, k):
+        norm = float(np.linalg.norm(col))
+        if not math.isfinite(norm) or norm == 0.0:
+            raise SolverError(f"Rayleigh-quotient iteration for state {k} lost its vector")
+        return col / norm
+
     vecs = np.empty((n, m), order="F")
     rho = np.empty(m)
     r = np.empty(m)
     for k in range(m):
-        # one seed per call, as in _eigensolve
-        col, info = dstein(diag, off, seeds[k:k + 1], iblock, isplit)
-        if info != 0:
-            raise SolverError(f"inverse iteration at seed {k} failed (info {info})")
-        shift, _ = quotient(col[:, 0])
-        *_, col, info = dgtsv(off, diag - shift, off, col, overwrite_b=1)
-        norm = float(np.linalg.norm(col))
-        if info != 0 or not math.isfinite(norm) or norm == 0.0:
-            raise SolverError(f"Rayleigh step for state {k} failed (info {info})")
         psi = vecs[:, k]
-        np.divide(col[:, 0], norm, out=psi)
-        rho[k], dpsi = quotient(psi)
+        psi[:] = unit(np.interp(z, start_z, start_vecs[:, k]), k)
+        shift = seeds[k]
+        for _ in range(_MAX_REFINE_SOLVES):
+            *_, col, info = dgtsv(off, diag - shift, off, psi, overwrite_d=1)
+            if info != 0:
+                raise SolverError(f"Rayleigh-quotient solve for state {k} failed (info {info})")
+            col = unit(col, k)
+            if col @ psi < 0.0:
+                col = -col
+            step = float(np.linalg.norm(col - psi))
+            psi[:] = col
+            rho[k], dpsi = quotient(psi)
+            if step <= _REFINE_STEP:
+                break
+            shift = rho[k]
+        else:
+            raise SolverError(f"Rayleigh-quotient iteration for state {k} did not converge "
+                              f"in {_MAX_REFINE_SOLVES} linear solves")
         # the residual, plus a rounding allowance for evaluating it
         r[k] = float(np.linalg.norm((pot - rho[k]) * psi - kin * np.diff(dpsi))) + acc
     lower = rho - r
@@ -386,13 +411,28 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev):
     return rho * HARTREE_EV, vecs
 
 
-def _eigensolve_near(grid: GridSpec, v_ev: np.ndarray, seeds_ev):
+def _eigensolve_near(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
+                     start_vecs: np.ndarray):
     """`_refine`, or bisection where it cannot certify its result."""
     try:
-        return _refine(grid, v_ev, seeds_ev)
+        return _refine(grid, v_ev, seeds_ev, start_z, start_vecs)
     except SolverError:
         pass        # bisect outside the handler, so the traceback frees _refine's arrays
     return _eigensolve(grid, v_ev, len(seeds_ev))
+
+
+def _eigensolve_coarse_first(spec: PotentialSpec, grid: GridSpec, v_ev: np.ndarray,
+                             count: int):
+    """Lowest `count` eigenpairs, bisecting only the grid 4x coarser.
+
+    The coarse eigenpairs seed `_eigensolve_near` on `grid`.  A grid with
+    under 4 * _COARSE_POINTS_PER_LEVEL points per level is bisected itself.
+    """
+    if grid.points < 4 * _COARSE_POINTS_PER_LEVEL * count:
+        return _eigensolve(grid, v_ev, count)
+    coarse = surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)
+    seeds, vecs = _eigensolve(coarse, build_potential(spec, coarse).samples_ev, count)
+    return _eigensolve_near(grid, v_ev, seeds, coarse.nodes(), vecs)
 
 
 def _is_bound(grid: GridSpec, v_ev: np.ndarray, e_ev: float, psi: np.ndarray) -> bool:
@@ -418,7 +458,7 @@ def _halved(grid: GridSpec) -> GridSpec:
 
 def solve_bound_states(profile: PotentialProfile, count: int,
                        report_convergence: bool = True, *,
-                       _seeds_ev=None) -> SolveResult:
+                       _seed=None) -> SolveResult:
     """The `count` lowest bound states of a sampled profile.
 
     States are strictly ascending in energy, normalized to 1e-8 or better,
@@ -427,18 +467,21 @@ def solve_bound_states(profile: PotentialProfile, count: int,
     (box artifacts of the finite domain) are dropped and reported via
     `shortfall`.  A convergence report from one grid halving is attached
     unless `report_convergence` is false; the halved grid is refined from
-    the base energies (`_refine`).  `_seeds_ev` (private, one energy in eV
-    per state) lets `stark_scan` refine the base solve from a nearby one.
+    the base eigenpairs (`_refine`).  The base grid is refined from the
+    grid 4x coarser, or, given `_seed` (private: energies in eV, nodes and
+    one vector column per state), from that nearby solve, as `stark_scan`
+    does.
     """
     points = profile.grid.points
     checked(count, f"count {{}} on a {points}-point grid", 1,
             min(points, MAX_EIGENVECTOR_BLOCK // points))
     # built first, so that a halving grid over the point cap fails before any solve
     fine = _halved(profile.grid) if report_convergence else None
-    if _seeds_ev is None:
-        energies, vecs = _eigensolve(profile.grid, profile.samples_ev, count)
+    if _seed is None:
+        energies, vecs = _eigensolve_coarse_first(profile.source, profile.grid,
+                                                  profile.samples_ev, count)
     else:
-        energies, vecs = _eigensolve_near(profile.grid, profile.samples_ev, _seeds_ev)
+        energies, vecs = _eigensolve_near(profile.grid, profile.samples_ev, *_seed)
     z = profile.grid.nodes()
     states = []
     warnings = list(profile.warnings)
@@ -460,8 +503,9 @@ def solve_bound_states(profile: PotentialProfile, count: int,
         change = ()
         source = profile.source
         try:
+            seeded = max(1, len(states))
             fine_e, _ = _eigensolve_near(fine, build_potential(source, fine).samples_ev,
-                                         energies[:max(1, len(states))])
+                                         energies[:seeded], z, vecs[:, :seeded])
             change = tuple((states[k].energy_mev - float(fine_e[k]) * 1e3)
                            for k in range(len(states)))
         except SolverError:
@@ -498,15 +542,17 @@ def richardson_energies(spec: PotentialSpec, grid: GridSpec,
                         halvings: int = 3, state: int = 0) -> list[float]:
     """Ground (or `state`) energies in meV at h, h/2, ..., h/2^halvings.
 
-    Each halved grid is refined from the levels of the one before (`_refine`).
+    Each halved grid is refined from the eigenpairs of the one before
+    (`_refine`), and the first from the grid 4x coarser.
     """
     profile = build_potential(spec, grid)
-    e, _ = _eigensolve(grid, profile.samples_ev, state + 1)
+    e, vecs = _eigensolve_coarse_first(spec, grid, profile.samples_ev, state + 1)
     out = [float(e[state]) * 1e3]
     for _ in range(halvings):
+        z = grid.nodes()
         grid = _halved(grid)
         profile = build_potential(spec, grid)
-        e, _ = _eigensolve_near(grid, profile.samples_ev, e)
+        e, vecs = _eigensolve_near(grid, profile.samples_ev, e, z, vecs)
         out.append(float(e[state]) * 1e3)
     return out
 
@@ -535,17 +581,18 @@ def stark_scan(spec: PotentialSpec, fields_v_per_m: "list[float]",
     if grid is None:
         grid = default_grid(spec)
     out = []
-    seeds = None
+    seed = None
     for field in fields_v_per_m:
         tilted = dataclasses.replace(spec, pressing_field_v_per_m=field)
         result = solve_bound_states(build_potential(tilted, grid), 1,
-                                    report_convergence=False, _seeds_ev=seeds)
+                                    report_convergence=False, _seed=seed)
         if result.states:
-            out.append(StarkPoint(field, result.states[0]))
-            seeds = (result.states[0].energy_mev * 1e-3,)
+            state = result.states[0]
+            out.append(StarkPoint(field, state))
+            seed = ((state.energy_mev * 1e-3,), state.z_A, state.psi[:, None])
         else:
             out.append(StarkPoint(field, None, "no bound state"))
-            seeds = None
+            seed = None
     return out
 
 

@@ -234,6 +234,19 @@ class TestPhaseDiagram:
         assert out.splitlines()[1:4] == ["1.000000e+05,,", "1.500000e+05,,",
                                          "2.000000e+05,,"]
 
+    @pytest.mark.parametrize("gamma0, t_min, t_max", [
+        ("1e150", "1e-200", "1e-199"),      # below 5e-4 K, a fixed .3f read 0.000
+        ("127", "1e160", "2e160"),          # and here a 161-digit integer
+    ])
+    def test_md_temperatures_keep_six_significant_digits(self, capsys, gamma0, t_min, t_max):
+        code, out, err = run(capsys, "phase-diagram", "--gamma0", gamma0, "--t-min", t_min,
+                             "--t-max", t_max, "--points", "5")
+        assert code == 0, err
+        cells = [line.split("|")[1].strip() for line in out.splitlines()[2:7]]
+        step = (float(t_max) - float(t_min)) / 4
+        assert cells == [f"{float(t_min) + i * step:.6g}" for i in range(5)]
+        assert all(len(cell) <= 12 for cell in cells)
+
     def test_apex_far_above_the_grid_is_reported(self, capsys):
         code, out, err = run(capsys, "phase-diagram", "--gamma0", "0.5", "--format", "csv")
         assert code == 0, err

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqls import zstates
@@ -318,10 +318,15 @@ class TestConvergenceNote:
         assert "not an error estimate" in result.convergence.note
 
     def test_note_is_joined_to_an_earlier_one(self, monkeypatch):
-        def fail(*args):
-            raise zstates.SolverError("forced")
+        near = zstates._eigensolve_near
+        halved = zstates._halved(UNRESOLVED_B_GRID)
 
-        monkeypatch.setattr(zstates, "_eigensolve_near", fail)
+        def fail_on_the_halved_grid(grid, *args):
+            if grid == halved:
+                raise zstates.SolverError("forced")
+            return near(grid, *args)
+
+        monkeypatch.setattr(zstates, "_eigensolve_near", fail_on_the_halved_grid)
         result = solve_bound_states(build_potential(UNRESOLVED_B_SPEC, UNRESOLVED_B_GRID), 1)
         first, second = result.convergence.note.split("; ")
         assert first == "refined solve failed"
@@ -332,57 +337,115 @@ class TestConvergenceNote:
 class TestRefine:
     """Seeded, certified refinement against bisection on the same grid."""
 
+    @staticmethod
+    def _assert_refined_from_matches_bisection(spec, start_grid, grid, count):
+        """Refine `grid` from bisection on `start_grid`; compare with bisection on `grid`."""
+        start = build_potential(spec, start_grid)
+        seeds, seed_psi = zstates._eigensolve(start_grid, start.samples_ev, count)
+        profile = build_potential(spec, grid)
+        energies, psi = zstates._refine(grid, profile.samples_ev, seeds, start_grid.nodes(),
+                                        seed_psi)
+        exact, exact_psi = zstates._eigensolve(grid, profile.samples_ev, count)
+        h = grid.h_A
+        assert np.max(np.abs(energies - exact)) <= bisection_bound_ev(grid, profile.samples_ev)
+        assert np.sum(psi**2, axis=0) * h == pytest.approx(np.ones(count), abs=1e-12)
+        assert ([zstates._count_nodes(psi[:, k]) for k in range(count)]
+                == [zstates._count_nodes(exact_psi[:, k]) for k in range(count)])
+        assert np.all(np.abs(np.sum(psi * exact_psi, axis=0)) * h >= 1.0 - 1e-8)
+
+    def _assert_coarse_seeded_matches_bisection(self, spec, grid, count):
+        coarse = surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)
+        self._assert_refined_from_matches_bisection(spec, coarse, grid, count)
+
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0),
            b=st.floats(0.05, 2.0), levels=st.integers(1, 6))
     def test_matches_bisection_on_the_halved_grid(self, eps, v0, b, levels):
         spec = RegularizedImage(v0_ev=v0, eps_r=eps, b_A=b)
-        coarse = build_potential(spec, default_grid(spec, levels))
-        seeds, _ = zstates._eigensolve(coarse.grid, coarse.samples_ev, levels)
-        fine = build_potential(spec, zstates._halved(coarse.grid))
-        exact, exact_psi = zstates._eigensolve(fine.grid, fine.samples_ev, levels)
-        energies, psi = zstates._refine(fine.grid, fine.samples_ev, seeds)
-        h = fine.grid.h_A
-        assert np.max(np.abs(energies - exact)) <= bisection_bound_ev(fine.grid,
-                                                                      fine.samples_ev)
-        assert np.sum(psi**2, axis=0) * h == pytest.approx(np.ones(levels), abs=1e-12)
-        assert np.abs(np.sum(psi * exact_psi, axis=0)) * h == pytest.approx(
-            np.ones(levels), abs=1e-8)
+        grid = default_grid(spec, levels)
+        self._assert_refined_from_matches_bisection(spec, grid, zstates._halved(grid), levels)
 
-    def test_uncertified_result_falls_back_to_bisection(self):
-        # an interface pocket whose halved-grid ground state lies 145 meV
-        # below the coarse one: inverse iteration at the coarse energy does
-        # not reach it, and the Sturm count rejects what it does reach
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0),
+           b=st.floats(0.05, 2.0), levels=st.integers(1, 6))
+    def test_coarse_seeded_solve_matches_bisection(self, eps, v0, b, levels):
+        spec = RegularizedImage(v0_ev=v0, eps_r=eps, b_A=b)
+        self._assert_coarse_seeded_matches_bisection(spec, default_grid(spec, levels), levels)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(eps=st.floats(1.02, 1.4), levels=st.integers(1, 2))
+    @example(eps=1.36592, levels=1)
+    @example(eps=1.36592, levels=2)
+    def test_coarse_seeded_hard_wall_matches_bisection(self, eps, levels):
+        # the a_B/Z/800 grid on which the hard wall is checked against
+        # -Z^2/2n^2; the interpolated start reaches into the 1 MeV wall
+        scale = BOHR_ANGSTROM / zstates.hydrogenic_charge(eps)
+        grid = surface_grid(-20.0, 30.0 * scale, scale / 800.0)
+        self._assert_coarse_seeded_matches_bisection(InfiniteBarrierImage(eps), grid, levels)
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(below=st.floats(0.5, 1.0), above=st.floats(0.8, 1.2), eps=st.floats(1.2, 1.35),
+           zeta=st.floats(0.5, 2.0))
+    def test_coarse_seeded_interface_matches_bisection(self, below, above, eps, zeta):
+        # the pocket falls by 0.1-0.2 eV from the coarse grid to this one
+        spec = Interface(below, above, eps, zeta)
+        self._assert_coarse_seeded_matches_bisection(spec, default_grid(spec), 1)
+
+    def test_bundled_surfaces_bisect_only_the_coarse_grid(self, registry, monkeypatch):
+        bisected = []
+        eigensolve = zstates._eigensolve
+
+        def counted(grid, *args):
+            bisected.append(grid)
+            return eigensolve(grid, *args)
+
+        monkeypatch.setattr(zstates, "_eigensolve", counted)
+        for surface in registry.surfaces:
+            bisected.clear()
+            result = solve_surface(surface)
+            assert result.shortfall == 0
+            grid = default_grid(RegularizedImage(surface.barrier_v0_ev,
+                                                 surface.dielectric_constant,
+                                                 surface.scattering_length_A))
+            assert bisected == [surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)]
+
+    def test_uncertified_result_falls_back_to_bisection(self, monkeypatch):
+        # one linear solve cannot bring an interpolated start vector to rest,
+        # so every refine raises and the base and halved grids are bisected
+        monkeypatch.setattr(zstates, "_MAX_REFINE_SOLVES", 1)
         spec = Interface(v_barrier_below_ev=0.722149, v_barrier_above_ev=1.13555,
                          eps_r_below=1.31331, zeta_A=0.655533)
         profile = build_potential(spec)
-        result = solve_bound_states(profile, 1)
-        coarse = result.states[0].energy_mev
+        base, base_psi = zstates._eigensolve(profile.grid, profile.samples_ev, 1)
         fine = build_potential(spec, zstates._halved(profile.grid))
-        with pytest.raises(zstates.SolverError):
-            zstates._refine(fine.grid, fine.samples_ev, [coarse * 1e-3])
+        with pytest.raises(zstates.SolverError, match="did not converge in 1 linear solves"):
+            zstates._refine(fine.grid, fine.samples_ev, base, profile.grid.nodes(), base_psi)
         exact, _ = zstates._eigensolve(fine.grid, fine.samples_ev, 1)
-        assert coarse == pytest.approx(-13.64, abs=0.01)
+        result = solve_bound_states(profile, 1)
+        energy = result.states[0].energy_mev
+        assert energy == float(base[0]) * 1e3
+        assert energy == pytest.approx(-13.64, abs=0.01)
         assert exact[0] * 1e3 == pytest.approx(-158.73, abs=0.01)
-        assert result.convergence.energy_change_mev == (coarse - float(exact[0]) * 1e3,)
+        assert result.convergence.energy_change_mev == (energy - float(exact[0]) * 1e3,)
 
     def test_seed_at_the_second_level_does_not_return_it_as_ground(self):
         profile = build_potential(HE_SPEC)
-        two, _ = zstates._eigensolve(profile.grid, profile.samples_ev, 2)
-        with pytest.raises(zstates.SolverError):
-            zstates._refine(profile.grid, profile.samples_ev, two[1:])
+        two, psi = zstates._eigensolve(profile.grid, profile.samples_ev, 2)
+        second = (two[1:], profile.grid.nodes(), psi[:, 1:])
+        with pytest.raises(zstates.SolverError, match="Sturm count"):
+            zstates._refine(profile.grid, profile.samples_ev, *second)
         ground, _ = zstates._eigensolve(profile.grid, profile.samples_ev, 1)
-        result = solve_bound_states(profile, 1, report_convergence=False,
-                                    _seeds_ev=two[1:])
+        result = solve_bound_states(profile, 1, report_convergence=False, _seed=second)
         assert result.states[0].energy_mev == float(ground[0]) * 1e3
         assert result.states[0].node_count == 0
 
     def test_two_seeds_on_one_level_are_rejected(self):
         profile = build_potential(NE_SPEC, default_grid(NE_SPEC, 3))
-        levels, _ = zstates._eigensolve(profile.grid, profile.samples_ev, 3)
-        with pytest.raises(zstates.SolverError):
+        levels, psi = zstates._eigensolve(profile.grid, profile.samples_ev, 3)
+        with pytest.raises(zstates.SolverError, match="disjoint"):
             zstates._refine(profile.grid, profile.samples_ev,
-                            [levels[0], levels[0] * 0.999, levels[2]])
+                            [levels[0], levels[0] * 0.999, levels[2]],
+                            profile.grid.nodes(), psi[:, [0, 0, 2]])
 
     def test_halving_report_matches_bisection(self, registry):
         for surface in registry.surfaces:
@@ -487,9 +550,11 @@ class TestStarkScan:
         fields = [0.0, 2e3, 5e3, 1e4, -1e6, 2e4, 3e4, 1e5]
         grid = default_grid(HE_SPEC)
         points = stark_scan(HE_SPEC, fields, grid)
-        # 0 and 2e4 V/m have no bound predecessor to start from; -1e6 and 1e5
-        # lie too far from theirs to certify and fall back to bisection
-        assert len(refined) == 4
+        # every field is refined once: 0 and 2e4 V/m, which have no bound
+        # predecessor, from the grid 4x coarser, the others from the previous
+        # field's ground state; only -1e6, which binds nothing, lies too far
+        # from its predecessor to certify and falls back to bisection
+        assert len(refined) == 7
         for point in points:
             tilted = dataclasses.replace(HE_SPEC, pressing_field_v_per_m=point.field_v_per_m)
             profile = build_potential(tilted, grid)
@@ -524,6 +589,30 @@ class TestIdentityOracles:
         above = z >= 0.0
         expected = 1e-7 * np.sum(z[above] * psi[above] ** 2) * grid.h_A
         assert slope == pytest.approx(expected, rel=1e-4)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0), b=st.floats(0.05, 2.0))
+    def test_cutoff_slope_is_the_mean_inverse_square_distance(self, eps, v0, b):
+        # Hellmann-Feynman: dV/db = A/(z+b)^2 on z >= 0 and 0 below, so
+        # dE0/db = <A/(z+b)^2>_+.  The central differences over +-1e-3 b and
+        # +-2e-3 b are combined to cancel their O(db^2) error; the default
+        # grid depends on eps only, so all five solves share it
+        spec = RegularizedImage(v0_ev=v0, eps_r=eps, b_A=b)
+        grid = default_grid(spec)
+        step = 1e-3 * b
+        e = []
+        for d in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            shifted = dataclasses.replace(spec, b_A=b + d * step)
+            result = solve_bound_states(build_potential(shifted, grid), 1,
+                                        report_convergence=False)
+            e.append(result.states[0])
+        slope = (4.0 * (e[3].energy_mev - e[1].energy_mev) / (2.0 * step)
+                 - (e[4].energy_mev - e[0].energy_mev) / (4.0 * step)) / 3.0
+        z, psi = e[2].z_A, e[2].psi
+        above = z >= 0.0
+        a_ev_a = zstates.hydrogenic_charge(eps) * HARTREE_EV * BOHR_ANGSTROM
+        expected = 1e3 * a_ev_a * np.sum(psi[above] ** 2 / (z[above] + b) ** 2) * grid.h_A
+        assert slope == pytest.approx(expected, rel=1e-5)
 
     def test_levels_in_hydrogenic_units_do_not_depend_on_eps(self):
         # with z and b in a_B/Z and V0 in Z^2 Ha the Hamiltonian is Z^2 times

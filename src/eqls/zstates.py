@@ -28,10 +28,14 @@ each Richardson level from the grid below, and each Stark field from the
 previous field's ground state.  `_refine` interpolates those vectors onto
 the grid and runs Rayleigh-quotient iteration from the known energies,
 then certifies the result: every residual r bounds the distance to an
-eigenvalue, the intervals rho +- r are disjoint, one Sturm count finds no
-other eigenvalue below the top one (plus a gap g), and each r^2/gap is
-within bisection's own accuracy 4 eps |T|.  Where any of this fails, the
-solve falls back to bisection on its own grid, so every energy is either
+eigenvalue, the intervals rho +- r are disjoint, each r^2/gap is within
+bisection's own accuracy 4 eps |T|, and one Sturm count finds no other
+eigenvalue below the top one (plus a gap g).  Solves that keep their
+vectors iterate until the unit vector comes to rest; the halved grid,
+whose vectors are discarded, stops at the first sweep whose energies
+certify.  Where any of this fails, a solve seeded from the grid below or a
+nearby field starts afresh from the grid 4x coarser, and one seeded from
+that coarse grid bisects its own grid, so every energy is either
 certified to that accuracy or computed by bisection.  Grids too small to
 coarsen (under 64 coarse points per level) are bisected directly.
 
@@ -81,8 +85,9 @@ MAX_EIGENVECTOR_BLOCK = 1 << 24
 # would have fewer points than this per level; the finer grid is then bisected.
 _COARSE_POINTS_PER_LEVEL = 64
 
-# Linear solves per level before `_refine` gives up (the benchmark's spectra need
-# 2-4 on average), and the move of the unit vector at which it stops.
+# Linear solves per level before `_refine` gives up, and the move of the unit
+# vector at which it stops.  The benchmark's spectra take about 3 per level to
+# bring a vector to rest, and 1.1 where only the energies must certify.
 _MAX_REFINE_SOLVES = 6
 _REFINE_STEP = 1e-9
 
@@ -330,20 +335,23 @@ def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
 
 
 def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
-            start_vecs: np.ndarray):
+            start_vecs: np.ndarray, energies_only: bool = False):
     """Lowest `len(seeds_ev)` eigenpairs near the seed energies, certified.
 
     Same (eV, psi with sum psi^2 h = 1) form as `_eigensolve`.  Column k
     of `start_vecs`, sampled at `start_z`, is interpolated onto the grid and
-    run through Rayleigh-quotient iteration (gtsv): the first shift is seed
-    k, each later one the Rayleigh quotient, until the unit vector moves by
-    at most _REFINE_STEP, in at most _MAX_REFINE_SOLVES solves.  Rayleigh
-    quotient and residual use differences of psi, so the 1/h^2 diagonal
-    never cancels.  The pairs are certified as the lowest ones to within
-    the bisection accuracy acc = 4 eps |T|_1: every interval rho_k +- r_k
-    holds an eigenvalue, the intervals are disjoint, one Sturm count
-    (stebz) finds exactly m eigenvalues below rho_top + g, and each r^2/gap
-    is at most acc.  Raises SolverError otherwise.
+    run through Rayleigh-quotient iteration (gtsv), one solve per level and
+    sweep: the first shift is seed k, each later one the Rayleigh quotient,
+    until the unit vector moves by at most _REFINE_STEP, in at most
+    _MAX_REFINE_SOLVES sweeps.  Rayleigh quotient and residual use
+    differences of psi, so the 1/h^2 diagonal never cancels.  The pairs are
+    certified as the lowest ones to within the bisection accuracy
+    acc = 4 eps |T|_1: every interval rho_k +- r_k holds an eigenvalue, the
+    intervals are disjoint, each r^2/gap is at most acc, and one Sturm
+    count (stebz) finds exactly m eigenvalues below rho_top + g.  With
+    `energies_only`, every sweep is certified and the first that passes is
+    returned, whether or not its vectors have come to rest.  Raises
+    SolverError otherwise.
     """
     from scipy.linalg.lapack import dgtsv, dstebz
 
@@ -351,82 +359,106 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
     kin, pot, diag, off = _hamiltonian(grid, v_ev)
     acc = 4.0 * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * kin)
     z = grid.nodes()
-    seeds = np.asarray(seeds_ev, dtype=float) / HARTREE_EV
+    dpsi = np.empty(n + 1)          # differences of psi, which is 0 beyond both ends
 
     def quotient(psi):
-        """Rayleigh quotient of a unit vector, and its differences."""
-        dpsi = np.diff(psi, prepend=0.0, append=0.0)
-        return kin * float(dpsi @ dpsi) + float((pot * psi) @ psi), dpsi
+        """Rayleigh quotient of a unit vector; leaves its differences in dpsi."""
+        np.subtract(psi[1:], psi[:-1], out=dpsi[1:-1])
+        dpsi[0] = psi[0]
+        dpsi[-1] = -psi[-1]
+        return kin * float(dpsi @ dpsi) + float((pot * psi) @ psi)
+
+    def norm(x):
+        return math.sqrt(float(x @ x))
 
     def unit(col, k):
-        norm = float(np.linalg.norm(col))
-        if not math.isfinite(norm) or norm == 0.0:
+        length = norm(col)
+        if not math.isfinite(length) or length == 0.0:
             raise SolverError(f"Rayleigh-quotient iteration for state {k} lost its vector")
-        return col / norm
+        return col / length
+
+    def uncertified():
+        """Why (rho, r) do not certify the lowest m eigenvalues, or None."""
+        lower = rho - r
+        upper = rho + r
+        if not np.all(np.isfinite(upper)) or np.any(upper[:-1] >= lower[1:]):
+            return "refined intervals are not finite, disjoint and ascending"
+        g = 2.0 * max(r[-1], r[-1] ** 2 / acc)     # so that r_top^2 / g <= acc / 2
+        top = rho[-1] + g
+        if not math.isfinite(top):
+            return "refined residual too large to certify"
+        gap = np.minimum(np.append(lower[1:], top) - rho,
+                         rho - np.insert(upper[:-1], 0, -np.inf))
+        if np.any(r * r > acc * gap):
+            return (f"refined levels are not separated enough to certify "
+                    f"(worst r^2/gap {float(np.max(r * r / gap)):.3g} Ha, allowed {acc:.3g})")
+        bottom = float(np.min(pot)) - 1.0      # below min(V), the Gershgorin bound
+        found, *_, info = dstebz(diag, off, 1, bottom, top, 0, 0, 2.0 * (top - bottom), b"B")
+        if info != 0 or found != m:
+            return f"Sturm count below the top refined level is {found}, not {m}"
+        return None
 
     vecs = np.empty((n, m), order="F")
+    shift = np.asarray(seeds_ev, dtype=float) / HARTREE_EV
     rho = np.empty(m)
     r = np.empty(m)
     for k in range(m):
-        psi = vecs[:, k]
-        psi[:] = unit(np.interp(z, start_z, start_vecs[:, k]), k)
-        shift = seeds[k]
-        for _ in range(_MAX_REFINE_SOLVES):
-            *_, col, info = dgtsv(off, diag - shift, off, psi, overwrite_d=1)
+        vecs[:, k] = unit(np.interp(z, start_z, start_vecs[:, k]), k)
+    moving = list(range(m))
+    for _ in range(_MAX_REFINE_SOLVES):
+        for k in list(moving):
+            psi = vecs[:, k]
+            *_, col, info = dgtsv(off, diag - shift[k], off, psi, overwrite_d=1)
             if info != 0:
                 raise SolverError(f"Rayleigh-quotient solve for state {k} failed (info {info})")
             col = unit(col, k)
             if col @ psi < 0.0:
                 col = -col
-            step = float(np.linalg.norm(col - psi))
+            step = norm(col - psi)
             psi[:] = col
-            rho[k], dpsi = quotient(psi)
+            rho[k] = shift[k] = quotient(psi)
             if step <= _REFINE_STEP:
-                break
-            shift = rho[k]
-        else:
-            raise SolverError(f"Rayleigh-quotient iteration for state {k} did not converge "
-                              f"in {_MAX_REFINE_SOLVES} linear solves")
-        # the residual, plus a rounding allowance for evaluating it
-        r[k] = float(np.linalg.norm((pot - rho[k]) * psi - kin * np.diff(dpsi))) + acc
-    lower = rho - r
-    upper = rho + r
-    if not np.all(np.isfinite(upper)) or np.any(upper[:-1] >= lower[1:]):
-        raise SolverError("refined intervals are not finite, disjoint and ascending")
-    g = 2.0 * max(r[-1], r[-1] ** 2 / acc)     # so that r_top^2 / g <= acc / 2
-    top = rho[-1] + g
-    if not math.isfinite(top):
-        raise SolverError("refined residual too large to certify")
-    bottom = float(np.min(pot)) - 1.0      # below min(V), the Gershgorin bound
-    found, *_, info = dstebz(diag, off, 1, bottom, top, 0, 0, 2.0 * (top - bottom), b"B")
-    if info != 0 or found != m:
-        raise SolverError(f"Sturm count below the top refined level is {found}, not {m}")
-    gap = np.minimum(np.append(lower[1:], top) - rho,
-                     rho - np.insert(upper[:-1], 0, -np.inf))
-    if np.any(r * r > acc * gap):
-        raise SolverError(f"refined levels are not separated enough to certify "
-                          f"(worst r^2/gap {float(np.max(r * r / gap)):.3g} Ha, "
-                          f"allowed {acc:.3g})")
-    vecs /= math.sqrt(grid.h_A)
-    return rho * HARTREE_EV, vecs
+                moving.remove(k)
+            elif not energies_only:
+                continue        # a vector still moving is not certified yet
+            # the residual, plus a rounding allowance for evaluating it
+            r[k] = norm((pot - rho[k]) * psi - kin * np.diff(dpsi)) + acc
+        if moving and not energies_only:
+            continue
+        failure = uncertified()
+        if failure is None:
+            vecs /= math.sqrt(grid.h_A)
+            return rho * HARTREE_EV, vecs
+        if not moving:
+            raise SolverError(failure)
+    raise SolverError(f"Rayleigh-quotient iteration for state {moving[0]} did not converge "
+                      f"in {_MAX_REFINE_SOLVES} linear solves")
 
 
 def _eigensolve_near(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
-                     start_vecs: np.ndarray):
-    """`_refine`, or bisection where it cannot certify its result."""
+                     start_vecs: np.ndarray, spec: PotentialSpec | None = None,
+                     energies_only: bool = False):
+    """`_refine`, or where it cannot certify its result, a fresh solve.
+
+    The fresh solve is `_eigensolve_coarse_first` of `spec`, which sampled
+    `v_ev` on `grid`, or without `spec` bisection of `grid` itself.
+    """
     try:
-        return _refine(grid, v_ev, seeds_ev, start_z, start_vecs)
+        return _refine(grid, v_ev, seeds_ev, start_z, start_vecs, energies_only)
     except SolverError:
-        pass        # bisect outside the handler, so the traceback frees _refine's arrays
-    return _eigensolve(grid, v_ev, len(seeds_ev))
+        pass        # solve outside the handler, so the traceback frees _refine's arrays
+    if spec is None:
+        return _eigensolve(grid, v_ev, len(seeds_ev))
+    return _eigensolve_coarse_first(spec, grid, v_ev, len(seeds_ev))
 
 
 def _eigensolve_coarse_first(spec: PotentialSpec, grid: GridSpec, v_ev: np.ndarray,
                              count: int):
     """Lowest `count` eigenpairs, bisecting only the grid 4x coarser.
 
-    The coarse eigenpairs seed `_eigensolve_near` on `grid`.  A grid with
-    under 4 * _COARSE_POINTS_PER_LEVEL points per level is bisected itself.
+    The coarse eigenpairs seed `_eigensolve_near` on `grid`, which bisects
+    `grid` where they do not certify.  A grid with under
+    4 * _COARSE_POINTS_PER_LEVEL points per level is bisected itself.
     """
     if grid.points < 4 * _COARSE_POINTS_PER_LEVEL * count:
         return _eigensolve(grid, v_ev, count)
@@ -467,10 +499,11 @@ def solve_bound_states(profile: PotentialProfile, count: int,
     (box artifacts of the finite domain) are dropped and reported via
     `shortfall`.  A convergence report from one grid halving is attached
     unless `report_convergence` is false; the halved grid is refined from
-    the base eigenpairs (`_refine`).  The base grid is refined from the
-    grid 4x coarser, or, given `_seed` (private: energies in eV, nodes and
-    one vector column per state), from that nearby solve, as `stark_scan`
-    does.
+    the base eigenpairs (`_refine`) and stops as soon as its energies
+    certify, since its vectors are not kept.  The base grid is refined, to
+    vectors at rest, from the grid 4x coarser, or, given `_seed` (private:
+    energies in eV, nodes and one vector column per state), from that
+    nearby solve, as `stark_scan` does.
     """
     points = profile.grid.points
     checked(count, f"count {{}} on a {points}-point grid", 1,
@@ -481,7 +514,8 @@ def solve_bound_states(profile: PotentialProfile, count: int,
         energies, vecs = _eigensolve_coarse_first(profile.source, profile.grid,
                                                   profile.samples_ev, count)
     else:
-        energies, vecs = _eigensolve_near(profile.grid, profile.samples_ev, *_seed)
+        energies, vecs = _eigensolve_near(profile.grid, profile.samples_ev, *_seed,
+                                          profile.source)
     z = profile.grid.nodes()
     states = []
     warnings = list(profile.warnings)
@@ -505,7 +539,8 @@ def solve_bound_states(profile: PotentialProfile, count: int,
         try:
             seeded = max(1, len(states))
             fine_e, _ = _eigensolve_near(fine, build_potential(source, fine).samples_ev,
-                                         energies[:seeded], z, vecs[:, :seeded])
+                                         energies[:seeded], z, vecs[:, :seeded], source,
+                                         energies_only=True)
             change = tuple((states[k].energy_mev - float(fine_e[k]) * 1e3)
                            for k in range(len(states)))
         except SolverError:
@@ -552,7 +587,7 @@ def richardson_energies(spec: PotentialSpec, grid: GridSpec,
         z = grid.nodes()
         grid = _halved(grid)
         profile = build_potential(spec, grid)
-        e, vecs = _eigensolve_near(grid, profile.samples_ev, e, z, vecs)
+        e, vecs = _eigensolve_near(grid, profile.samples_ev, e, z, vecs, spec)
         out.append(float(e[state]) * 1e3)
     return out
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from eqls import matter, phases, zstates
@@ -14,6 +16,27 @@ def f1_calls(monkeypatch):
         return f1(eta)
 
     monkeypatch.setattr(phases, "_f1", counted)
+    return calls
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """How often each of LAPACK's dgtsv, dstebz and dstein is called while the test runs."""
+    from scipy.linalg import lapack
+
+    calls = Counter()
+
+    def counter(name):
+        routine = getattr(lapack, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return counted
+
+    for name in ("dgtsv", "dstebz", "dstein"):
+        monkeypatch.setattr(lapack, name, counter(name))
     return calls
 
 

@@ -321,10 +321,10 @@ class TestConvergenceNote:
         near = zstates._eigensolve_near
         halved = zstates._halved(UNRESOLVED_B_GRID)
 
-        def fail_on_the_halved_grid(grid, *args):
+        def fail_on_the_halved_grid(grid, *args, **kwargs):
             if grid == halved:
                 raise zstates.SolverError("forced")
-            return near(grid, *args)
+            return near(grid, *args, **kwargs)
 
         monkeypatch.setattr(zstates, "_eigensolve_near", fail_on_the_halved_grid)
         result = solve_bound_states(build_potential(UNRESOLVED_B_SPEC, UNRESOLVED_B_GRID), 1)
@@ -434,9 +434,13 @@ class TestRefine:
         second = (two[1:], profile.grid.nodes(), psi[:, 1:])
         with pytest.raises(zstates.SolverError, match="Sturm count"):
             zstates._refine(profile.grid, profile.samples_ev, *second)
+        # the failed seed falls back to a fresh solve from the grid 4x coarser
+        fresh, _ = zstates._eigensolve_coarse_first(HE_SPEC, profile.grid, profile.samples_ev, 1)
         ground, _ = zstates._eigensolve(profile.grid, profile.samples_ev, 1)
         result = solve_bound_states(profile, 1, report_convergence=False, _seed=second)
-        assert result.states[0].energy_mev == float(ground[0]) * 1e3
+        assert result.states[0].energy_mev == float(fresh[0]) * 1e3
+        assert (abs(fresh[0] - ground[0])
+                <= bisection_bound_ev(profile.grid, profile.samples_ev))
         assert result.states[0].node_count == 0
 
     def test_two_seeds_on_one_level_are_rejected(self):
@@ -447,18 +451,55 @@ class TestRefine:
                             [levels[0], levels[0] * 0.999, levels[2]],
                             profile.grid.nodes(), psi[:, [0, 0, 2]])
 
+    def test_halving_solve_makes_one_solve_per_level(self, registry, monkeypatch,
+                                                     lapack_calls):
+        # the halving grid's vectors are discarded, so its refine stops at the
+        # first sweep whose energies certify: one dgtsv per level, one Sturm count
+        near = zstates._eigensolve_near
+        made = {}
+
+        def counted(grid, *args, **kwargs):
+            before = lapack_calls.copy()
+            out = near(grid, *args, **kwargs)
+            made[grid] = lapack_calls - before
+            return out
+
+        monkeypatch.setattr(zstates, "_eigensolve_near", counted)
+        levels = 2
+        for surface in registry.surfaces:
+            spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
+                                    surface.scattering_length_A)
+            grid = default_grid(spec, levels)
+            made.clear()
+            solve_bound_states(build_potential(spec, grid), levels)
+            assert made[zstates._halved(grid)] == {"dgtsv": levels, "dstebz": 1}
+
+    @staticmethod
+    def _assert_halving_change_matches_bisection(spec, levels):
+        """Each reported change is E(h) minus bisection of the halved grid."""
+        grid = default_grid(spec, levels)
+        result = solve_bound_states(build_potential(spec, grid), levels)
+        fine = build_potential(spec, zstates._halved(grid))
+        exact, exact_psi = zstates._eigensolve(fine.grid, fine.samples_ev, levels)
+        bound = bisection_bound_ev(fine.grid, fine.samples_ev) * 1e3
+        assert len(result.convergence.energy_change_mev) == len(result.states)
+        for k, change in enumerate(result.convergence.energy_change_mev):
+            expected = result.states[k].energy_mev - float(exact[k]) * 1e3
+            assert abs(change - expected) <= bound
+            assert result.states[k].node_count == zstates._count_nodes(exact_psi[:, k])
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0),
+           b=st.floats(0.05, 2.0), levels=st.integers(1, 6))
+    def test_halving_change_matches_bisection(self, eps, v0, b, levels):
+        spec = RegularizedImage(v0_ev=v0, eps_r=eps, b_A=b)
+        self._assert_halving_change_matches_bisection(spec, levels)
+
     def test_halving_report_matches_bisection(self, registry):
         for surface in registry.surfaces:
             spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
                                     surface.scattering_length_A)
-            profile = build_potential(spec)
-            result = solve_bound_states(profile, 2)
-            fine = build_potential(spec, zstates._halved(profile.grid))
-            exact, _ = zstates._eigensolve(fine.grid, fine.samples_ev, 2)
-            bound = bisection_bound_ev(fine.grid, fine.samples_ev) * 1e3
-            for k, change in enumerate(result.convergence.energy_change_mev):
-                expected = result.states[k].energy_mev - float(exact[k]) * 1e3
-                assert abs(change - expected) <= bound
+            self._assert_halving_change_matches_bisection(spec, 2)
 
 
 class TestRichardson:
@@ -553,8 +594,9 @@ class TestStarkScan:
         # every field is refined once: 0 and 2e4 V/m, which have no bound
         # predecessor, from the grid 4x coarser, the others from the previous
         # field's ground state; only -1e6, which binds nothing, lies too far
-        # from its predecessor to certify and falls back to bisection
-        assert len(refined) == 7
+        # from its predecessor to certify and is refined again from the grid
+        # 4x coarser
+        assert len(refined) == 8
         for point in points:
             tilted = dataclasses.replace(HE_SPEC, pressing_field_v_per_m=point.field_v_per_m)
             profile = build_potential(tilted, grid)
@@ -567,6 +609,23 @@ class TestStarkScan:
             assert point.state.node_count == 0
             assert point.state.mean_z_nm == pytest.approx(alone.states[0].mean_z_nm,
                                                           rel=1e-9)
+
+    def test_uncertified_field_bisects_only_the_coarse_grid(self, monkeypatch):
+        # -1e6 V/m binds nothing, and its predecessor's ground state does not
+        # certify on its grid; its fresh solve bisects the grid 4x coarser
+        bisected = []
+        eigensolve = zstates._eigensolve
+
+        def counted(grid, *args):
+            bisected.append(grid)
+            return eigensolve(grid, *args)
+
+        monkeypatch.setattr(zstates, "_eigensolve", counted)
+        grid = default_grid(HE_SPEC)
+        points = stark_scan(HE_SPEC, [1e4, -1e6], grid)
+        assert points[0].state is not None and points[1].state is None
+        coarse = surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)
+        assert bisected == [coarse, coarse]
 
 
 class TestIdentityOracles:

@@ -22,22 +22,21 @@ Each tail's strength is Z = (eps-1)/(4(eps+1)) in atomic units
 (`hydrogenic_charge`), Z * HARTREE_EV * BOHR_ANGSTROM in eV*A; the default
 grids scale with the hydrogenic length a_B/Z.
 
-Every finer solve starts from eigenpairs already in hand: the requested
-grid from the coarse one, the halved grid of the convergence report and
-each Richardson level from the grid below, and each Stark field from the
-previous field's ground state.  `_refine` interpolates those vectors onto
-the grid and runs Rayleigh-quotient iteration from the known energies,
-then certifies the result: every residual r bounds the distance to an
+Every solve climbs one ladder (`_eigenpairs`): refine from eigenpairs in
+hand, else bisect the grid 4x coarser and refine from that, else bisect
+the grid itself.  In hand are the grid below, for the halved grid of the
+convergence report and each Richardson level, and the previous field's
+ground state, for each Stark field.  Grids under 64 coarse points per
+level skip the coarse step.  `_refine` interpolates the vectors onto the
+grid and runs Rayleigh-quotient iteration from the known energies, then
+certifies the result: every residual r bounds the distance to an
 eigenvalue, the intervals rho +- r are disjoint, each r^2/gap is within
 bisection's own accuracy 4 eps |T|, and one Sturm count finds no other
 eigenvalue below the top one (plus a gap g).  Solves that keep their
 vectors iterate until the unit vector comes to rest; the halved grid,
 whose vectors are discarded, stops at the first sweep whose energies
-certify.  Where any of this fails, a solve seeded from the grid below or a
-nearby field starts afresh from the grid 4x coarser, and one seeded from
-that coarse grid bisects its own grid, so every energy is either
-certified to that accuracy or computed by bisection.  Grids too small to
-coarsen (under 64 coarse points per level) are bisected directly.
+certify.  So every energy is either certified to that accuracy or
+computed by bisection.
 
 Default grids place z = 0 exactly midway between two nodes.  With the
 potential step between nodes, every grid cell lies on a single branch of
@@ -435,36 +434,37 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
                       f"in {_MAX_REFINE_SOLVES} linear solves")
 
 
-def _eigensolve_near(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
-                     start_vecs: np.ndarray, spec: PotentialSpec | None = None,
-                     energies_only: bool = False):
-    """`_refine`, or where it cannot certify its result, a fresh solve.
+def _eigenpairs(spec: PotentialSpec, grid: GridSpec, v_ev: np.ndarray, count: int,
+                start=None, energies_only: bool = False):
+    """Lowest `count` eigenpairs of `v_ev`, which samples `spec` on `grid`.
 
-    The fresh solve is `_eigensolve_coarse_first` of `spec`, which sampled
-    `v_ev` on `grid`, or without `spec` bisection of `grid` itself.
+    Same (eV, psi with sum psi^2 h = 1) form as `_eigensolve`, from the
+    first step of this ladder that returns:
+      1. `_refine` from `start`, eigenpairs in hand (energies in eV, nodes,
+         one vector column per state), if given;
+      2. bisect the grid 4x coarser and `_refine` from its eigenpairs, if
+         `grid` has at least 4 * _COARSE_POINTS_PER_LEVEL points per level;
+      3. bisect `grid` itself.
+    Both refines stop at the first certified energies with `energies_only`.
     """
-    try:
-        return _refine(grid, v_ev, seeds_ev, start_z, start_vecs, energies_only)
-    except SolverError:
-        pass        # solve outside the handler, so the traceback frees _refine's arrays
-    if spec is None:
-        return _eigensolve(grid, v_ev, len(seeds_ev))
-    return _eigensolve_coarse_first(spec, grid, v_ev, len(seeds_ev))
+    if start is not None:
+        try:
+            return _refine(grid, v_ev, *start, energies_only)
+        except SolverError:
+            pass        # solve outside the handler, so the traceback frees _refine's arrays
+    if grid.points >= 4 * _COARSE_POINTS_PER_LEVEL * count:
+        coarse = surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)
+        seeds, vecs = _eigensolve(coarse, build_potential(spec, coarse).samples_ev, count)
+        try:
+            return _refine(grid, v_ev, seeds, coarse.nodes(), vecs, energies_only)
+        except SolverError:
+            pass
+    return _eigensolve(grid, v_ev, count)
 
 
-def _eigensolve_coarse_first(spec: PotentialSpec, grid: GridSpec, v_ev: np.ndarray,
-                             count: int):
-    """Lowest `count` eigenpairs, bisecting only the grid 4x coarser.
-
-    The coarse eigenpairs seed `_eigensolve_near` on `grid`, which bisects
-    `grid` where they do not certify.  A grid with under
-    4 * _COARSE_POINTS_PER_LEVEL points per level is bisected itself.
-    """
-    if grid.points < 4 * _COARSE_POINTS_PER_LEVEL * count:
-        return _eigensolve(grid, v_ev, count)
-    coarse = surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)
-    seeds, vecs = _eigensolve(coarse, build_potential(spec, coarse).samples_ev, count)
-    return _eigensolve_near(grid, v_ev, seeds, coarse.nodes(), vecs)
+def _max_levels(grid: GridSpec) -> int:
+    """Most levels whose eigenvectors on `grid` fit in MAX_EIGENVECTOR_BLOCK."""
+    return min(grid.points, MAX_EIGENVECTOR_BLOCK // grid.points)
 
 
 def _is_bound(grid: GridSpec, v_ev: np.ndarray, e_ev: float, psi: np.ndarray) -> bool:
@@ -498,24 +498,18 @@ def solve_bound_states(profile: PotentialProfile, count: int,
     with negligible weight on either grid wall; eigenstates that fail
     (box artifacts of the finite domain) are dropped and reported via
     `shortfall`.  A convergence report from one grid halving is attached
-    unless `report_convergence` is false; the halved grid is refined from
-    the base eigenpairs (`_refine`) and stops as soon as its energies
-    certify, since its vectors are not kept.  The base grid is refined, to
-    vectors at rest, from the grid 4x coarser, or, given `_seed` (private:
-    energies in eV, nodes and one vector column per state), from that
-    nearby solve, as `stark_scan` does.
+    unless `report_convergence` is false.  Both grids are solved by
+    `_eigenpairs`: the base grid from `_seed` if given (private: a nearby
+    solve's energies in eV, nodes and vector columns, as `stark_scan`
+    passes), the halved grid from the base eigenpairs, stopping as soon as
+    its energies certify, since its vectors are not kept.
     """
-    points = profile.grid.points
-    checked(count, f"count {{}} on a {points}-point grid", 1,
-            min(points, MAX_EIGENVECTOR_BLOCK // points))
+    checked(count, f"count {{}} on a {profile.grid.points}-point grid", 1,
+            _max_levels(profile.grid))
     # built first, so that a halving grid over the point cap fails before any solve
     fine = _halved(profile.grid) if report_convergence else None
-    if _seed is None:
-        energies, vecs = _eigensolve_coarse_first(profile.source, profile.grid,
-                                                  profile.samples_ev, count)
-    else:
-        energies, vecs = _eigensolve_near(profile.grid, profile.samples_ev, *_seed,
-                                          profile.source)
+    energies, vecs = _eigenpairs(profile.source, profile.grid, profile.samples_ev, count,
+                                 _seed)
     z = profile.grid.nodes()
     states = []
     warnings = list(profile.warnings)
@@ -538,9 +532,9 @@ def solve_bound_states(profile: PotentialProfile, count: int,
         source = profile.source
         try:
             seeded = max(1, len(states))
-            fine_e, _ = _eigensolve_near(fine, build_potential(source, fine).samples_ev,
-                                         energies[:seeded], z, vecs[:, :seeded], source,
-                                         energies_only=True)
+            fine_e, _ = _eigenpairs(source, fine, build_potential(source, fine).samples_ev,
+                                    seeded, (energies[:seeded], z, vecs[:, :seeded]),
+                                    energies_only=True)
             change = tuple((states[k].energy_mev - float(fine_e[k]) * 1e3)
                            for k in range(len(states)))
         except SolverError:
@@ -567,6 +561,8 @@ class Transition:
 def transition(states: "list[BoundState] | tuple[BoundState, ...]",
                i: int, j: int) -> Transition:
     """Energy (K) and frequency (THz) of the i -> j transition, 0-based i < j."""
+    checked(j, f"final state {{}} of a transition among {len(states)} states", 1, len(states),
+            "[)")
     checked(i, f"initial state {{}} of a transition to state {j}", 0, j, "[)")
     de_ev = (states[j].energy_mev - states[i].energy_mev) * 1e-3
     return Transition(de_k=de_ev / BOLTZMANN_EV_PER_K,
@@ -577,18 +573,20 @@ def richardson_energies(spec: PotentialSpec, grid: GridSpec,
                         halvings: int = 3, state: int = 0) -> list[float]:
     """Ground (or `state`) energies in meV at h, h/2, ..., h/2^halvings.
 
-    Each halved grid is refined from the eigenpairs of the one before
-    (`_refine`), and the first from the grid 4x coarser.
+    Each grid is solved by `_eigenpairs`: the first from the grid 4x
+    coarser, each halved one from the eigenpairs of the grid before.
     """
-    profile = build_potential(spec, grid)
-    e, vecs = _eigensolve_coarse_first(spec, grid, profile.samples_ev, state + 1)
-    out = [float(e[state]) * 1e3]
-    for _ in range(halvings):
-        z = grid.nodes()
-        grid = _halved(grid)
-        profile = build_potential(spec, grid)
-        e, vecs = _eigensolve_near(grid, profile.samples_ev, e, z, vecs, spec)
+    checked(halvings, "{} halvings", 0, MAX_GRID_POINTS)
+    out = []
+    start = None
+    for k in range(halvings + 1):
+        if k:
+            grid = _halved(grid)
+        count = checked(state + 1, f"{{}} levels up to state {state} on a {grid.points}-point "
+                        f"grid", 1, _max_levels(grid))
+        e, vecs = _eigenpairs(spec, grid, build_potential(spec, grid).samples_ev, count, start)
         out.append(float(e[state]) * 1e3)
+        start = (e, grid.nodes(), vecs)
     return out
 
 

@@ -40,6 +40,20 @@ def lapack_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def bisected(monkeypatch):
+    """The grid of every `zstates._eigensolve` call made while the test runs."""
+    grids = []
+    eigensolve = zstates._eigensolve
+
+    def counted(grid, *args):
+        grids.append(grid)
+        return eigensolve(grid, *args)
+
+    monkeypatch.setattr(zstates, "_eigensolve", counted)
+    return grids
+
+
 @pytest.fixture(scope="session")
 def registry():
     return matter.load_registry()

@@ -318,15 +318,15 @@ class TestConvergenceNote:
         assert "not an error estimate" in result.convergence.note
 
     def test_note_is_joined_to_an_earlier_one(self, monkeypatch):
-        near = zstates._eigensolve_near
+        eigenpairs = zstates._eigenpairs
         halved = zstates._halved(UNRESOLVED_B_GRID)
 
-        def fail_on_the_halved_grid(grid, *args, **kwargs):
+        def fail_on_the_halved_grid(spec, grid, *args, **kwargs):
             if grid == halved:
                 raise zstates.SolverError("forced")
-            return near(grid, *args, **kwargs)
+            return eigenpairs(spec, grid, *args, **kwargs)
 
-        monkeypatch.setattr(zstates, "_eigensolve_near", fail_on_the_halved_grid)
+        monkeypatch.setattr(zstates, "_eigenpairs", fail_on_the_halved_grid)
         result = solve_bound_states(build_potential(UNRESOLVED_B_SPEC, UNRESOLVED_B_GRID), 1)
         first, second = result.convergence.note.split("; ")
         assert first == "refined solve failed"
@@ -391,15 +391,7 @@ class TestRefine:
         spec = Interface(below, above, eps, zeta)
         self._assert_coarse_seeded_matches_bisection(spec, default_grid(spec), 1)
 
-    def test_bundled_surfaces_bisect_only_the_coarse_grid(self, registry, monkeypatch):
-        bisected = []
-        eigensolve = zstates._eigensolve
-
-        def counted(grid, *args):
-            bisected.append(grid)
-            return eigensolve(grid, *args)
-
-        monkeypatch.setattr(zstates, "_eigensolve", counted)
+    def test_bundled_surfaces_bisect_only_the_coarse_grid(self, registry, bisected):
         for surface in registry.surfaces:
             bisected.clear()
             result = solve_surface(surface)
@@ -435,13 +427,38 @@ class TestRefine:
         with pytest.raises(zstates.SolverError, match="Sturm count"):
             zstates._refine(profile.grid, profile.samples_ev, *second)
         # the failed seed falls back to a fresh solve from the grid 4x coarser
-        fresh, _ = zstates._eigensolve_coarse_first(HE_SPEC, profile.grid, profile.samples_ev, 1)
+        fresh, _ = zstates._eigenpairs(HE_SPEC, profile.grid, profile.samples_ev, 1)
         ground, _ = zstates._eigensolve(profile.grid, profile.samples_ev, 1)
         result = solve_bound_states(profile, 1, report_convergence=False, _seed=second)
         assert result.states[0].energy_mev == float(fresh[0]) * 1e3
         assert (abs(fresh[0] - ground[0])
                 <= bisection_bound_ev(profile.grid, profile.samples_ev))
         assert result.states[0].node_count == 0
+
+    def test_failed_seed_on_a_small_grid_bisects_that_grid(self, monkeypatch, bisected):
+        # 201 points is under 4 * 64 per level: the ladder skips the coarse
+        # grid (solid Ne, since helium's ground state leans on the 300 A wall)
+        grid = surface_grid(-20.0, 300.0, 1.6)
+        assert grid.points == 201
+        profile = build_potential(NE_SPEC, grid)
+        two, psi = zstates._eigensolve(grid, profile.samples_ev, 2)
+        second = (two[1:], grid.nodes(), psi[:, 1:])
+        with pytest.raises(zstates.SolverError, match="Sturm count"):
+            zstates._refine(grid, profile.samples_ev, *second)
+        ground, _ = zstates._eigensolve(grid, profile.samples_ev, 1)
+        bisected.clear()
+        built = []
+        make_grid = zstates.surface_grid
+
+        def recorded(*args):
+            built.append(args)
+            return make_grid(*args)
+
+        monkeypatch.setattr(zstates, "surface_grid", recorded)
+        result = solve_bound_states(profile, 1, report_convergence=False, _seed=second)
+        assert bisected == [grid]
+        assert built == []
+        assert result.states[0].energy_mev == float(ground[0]) * 1e3
 
     def test_two_seeds_on_one_level_are_rejected(self):
         profile = build_potential(NE_SPEC, default_grid(NE_SPEC, 3))
@@ -455,16 +472,16 @@ class TestRefine:
                                                      lapack_calls):
         # the halving grid's vectors are discarded, so its refine stops at the
         # first sweep whose energies certify: one dgtsv per level, one Sturm count
-        near = zstates._eigensolve_near
+        eigenpairs = zstates._eigenpairs
         made = {}
 
-        def counted(grid, *args, **kwargs):
+        def counted(spec, grid, *args, **kwargs):
             before = lapack_calls.copy()
-            out = near(grid, *args, **kwargs)
+            out = eigenpairs(spec, grid, *args, **kwargs)
             made[grid] = lapack_calls - before
             return out
 
-        monkeypatch.setattr(zstates, "_eigensolve_near", counted)
+        monkeypatch.setattr(zstates, "_eigenpairs", counted)
         levels = 2
         for surface in registry.surfaces:
             spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
@@ -503,6 +520,16 @@ class TestRefine:
 
 
 class TestRichardson:
+    def test_bundled_surfaces_bisect_only_the_coarse_grid(self, registry, bisected):
+        for surface in registry.surfaces:
+            spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
+                                    surface.scattering_length_A)
+            grid = default_grid(spec)
+            for state in (0, 1):
+                bisected.clear()
+                zstates.richardson_energies(spec, grid, 2, state)
+                assert bisected == [surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)]
+
     def test_second_order_convergence(self):
         energies = zstates.richardson_energies(HE_SPEC, default_grid(HE_SPEC),
                                                halvings=2)
@@ -544,6 +571,8 @@ class TestTransition:
             transition(he_result.states, 1, 1)
         with pytest.raises(ValueError):
             transition(he_result.states, 1, 0)
+        with pytest.raises(ValueError):
+            transition(he_result.states, 0, len(he_result.states))
 
 
 class TestStarkScan:
@@ -610,17 +639,9 @@ class TestStarkScan:
             assert point.state.mean_z_nm == pytest.approx(alone.states[0].mean_z_nm,
                                                           rel=1e-9)
 
-    def test_uncertified_field_bisects_only_the_coarse_grid(self, monkeypatch):
+    def test_uncertified_field_bisects_only_the_coarse_grid(self, bisected):
         # -1e6 V/m binds nothing, and its predecessor's ground state does not
         # certify on its grid; its fresh solve bisects the grid 4x coarser
-        bisected = []
-        eigensolve = zstates._eigensolve
-
-        def counted(grid, *args):
-            bisected.append(grid)
-            return eigensolve(grid, *args)
-
-        monkeypatch.setattr(zstates, "_eigensolve", counted)
         grid = default_grid(HE_SPEC)
         points = stark_scan(HE_SPEC, [1e4, -1e6], grid)
         assert points[0].state is not None and points[1].state is None

@@ -60,16 +60,18 @@ NORMAL = sys.float_info.min     # smallest positive normal double
 
 def checked(value, name: str, low: float = -math.inf, high: float = math.inf,
             ends: str = "[]", error: type[ValueError] = ValueError):
-    """`value` if it is a finite number from `low` to `high`; else `error`.
+    """`value` if it is a number from `low` to `high` within the double range;
+    else `error`.
 
     `ends` holds the interval's brackets: "(" or ")" excludes that bound.
+    An int too large for a double is out of range, whatever the bounds.
     The message reads "<name> is outside <range>", with any "{}" in `name`
     replaced by the value; [NORMAL, inf) is called the double-precision
     range.
     """
     if ((value > low if ends[0] == "(" else value >= low)
             and (value < high if ends[1] == ")" else value <= high)
-            and math.isfinite(value)):
+            and abs(value) <= sys.float_info.max):      # not nan, inf or a huge int
         return value
     if low == NORMAL and high == math.inf:
         span = "the double-precision range"

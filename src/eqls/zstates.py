@@ -14,29 +14,34 @@ and solves -hbar^2/(2 m_e) psi'' + V psi = E psi on a uniform grid with
 Dirichlet ends, using second-order centered differences.  Sturm-sequence
 bisection plus inverse iteration (LAPACK dstebz, then dstein once per
 level) finds the lowest eigenpairs of the tridiagonal Hamiltonian on one
-grid per spectrum: the grid 4x coarser than the one asked for.  Every
-spec, grid and level count is range-checked (`units.checked`) before
-anything is allocated; barrier heights are capped at INFINITE_BARRIER_EV.
+grid per spectrum: the coarsest of a cascade of grids, each 4x coarser
+than the one before, that starts at the grid asked for.  Every spec, grid
+and level count is range-checked (`units.checked`) before anything is
+allocated; barrier heights are capped at INFINITE_BARRIER_EV.
 
 Each tail's strength is Z = (eps-1)/(4(eps+1)) in atomic units
 (`hydrogenic_charge`), Z * HARTREE_EV * BOHR_ANGSTROM in eV*A; the default
 grids scale with the hydrogenic length a_B/Z.
 
 Every solve climbs one ladder (`_eigenpairs`): refine from eigenpairs in
-hand, else bisect the grid 4x coarser and refine from that, else bisect
-the grid itself.  In hand are the grid below, for the halved grid of the
-convergence report and each Richardson level, and the previous field's
-ground state, for each Stark field.  Grids under 64 coarse points per
-level skip the coarse step.  `_refine` interpolates the vectors onto the
-grid and runs Rayleigh-quotient iteration from the known energies, then
-certifies the result: every residual r bounds the distance to an
-eigenvalue, the intervals rho +- r are disjoint, each r^2/gap is within
-bisection's own accuracy 4 eps |T|, and one Sturm count finds no other
-eigenvalue below the top one (plus a gap g).  Solves that keep their
-vectors iterate until the unit vector comes to rest; the halved grid,
-whose vectors are discarded, stops at the first sweep whose energies
-certify.  So every energy is either certified to that accuracy or
-computed by bisection.
+hand, else solve the grid 4x coarser by the same ladder and refine from
+that, else bisect the grid itself.  In hand are the grid below, for the
+halved grid of the convergence report and each Richardson level, and the
+previous field's ground state, for each Stark field.  Grids under 256
+points (64 coarse points) per level skip the coarse step.  So a fresh
+solve descends 4x at a time to the first grid under 256 points per level,
+bisects that one, and climbs back up by refines; a level whose refine
+fails bisects that level alone.  `_refine` interpolates the vectors onto
+the grid (unless they are sampled on it already) and runs
+Rayleigh-quotient iteration from the known energies, then certifies the
+result: every residual r bounds the distance to an eigenvalue, the
+intervals rho +- r are disjoint, each r^2/gap is within bisection's own
+accuracy 4 eps |T|, and one Sturm count finds no other eigenvalue below
+the top one (plus a gap g).  Solves that keep their vectors iterate until
+the unit vector comes to rest.  The halved grid, whose vectors are
+discarded, and the coarser grids of a cascade, whose vectors are only
+seeds, stop at the first sweep whose energies certify.  So every energy
+is either certified to that accuracy or computed by bisection.
 
 Default grids place z = 0 exactly midway between two nodes.  With the
 potential step between nodes, every grid cell lies on a single branch of
@@ -80,13 +85,16 @@ MAX_GRID_POINTS = 1 << 20
 # the default grids of up to 27 levels stay below it.
 MAX_EIGENVECTOR_BLOCK = 1 << 24
 
-# Bisection runs on the grid 4x coarser than the one asked for, unless that
-# would have fewer points than this per level; the finer grid is then bisected.
+# A solve seeds itself from the grid 4x coarser while that grid keeps at least
+# this many points per level; so bisection runs only on the first grid of the
+# cascade with fewer than 4x this per level, or on the grid asked for if that
+# is already as small.
 _COARSE_POINTS_PER_LEVEL = 64
 
 # Linear solves per level before `_refine` gives up, and the move of the unit
 # vector at which it stops.  The benchmark's spectra take about 3 per level to
-# bring a vector to rest, and 1.1 where only the energies must certify.
+# bring a vector to rest; where only the energies must certify, 1.1 on the
+# halved grid and 2.4 on a cascade's coarser grids.
 _MAX_REFINE_SOLVES = 6
 _REFINE_STEP = 1e-9
 
@@ -173,7 +181,13 @@ class GridSpec:
         return (self.z_max_A - self.z_min_A) / (self.points - 1)
 
     def nodes(self) -> np.ndarray:
-        return self.z_min_A + self.h_A * np.arange(self.points)
+        """The node positions in A: built on the first call, then shared read-only."""
+        z = self.__dict__.get("_nodes")
+        if z is None:
+            z = self.z_min_A + self.h_A * np.arange(self.points)
+            z.flags.writeable = False
+            object.__setattr__(self, "_nodes", z)
+        return z
 
 
 def surface_grid(z_min_A: float, z_max_A: float, h_A: float) -> GridSpec:
@@ -338,10 +352,11 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
     """Lowest `len(seeds_ev)` eigenpairs near the seed energies, certified.
 
     Same (eV, psi with sum psi^2 h = 1) form as `_eigensolve`.  Column k
-    of `start_vecs`, sampled at `start_z`, is interpolated onto the grid and
-    run through Rayleigh-quotient iteration (gtsv), one solve per level and
-    sweep: the first shift is seed k, each later one the Rayleigh quotient,
-    until the unit vector moves by at most _REFINE_STEP, in at most
+    of `start_vecs`, sampled at `start_z`, is interpolated onto the grid
+    (taken as it is if `start_z` are the grid's nodes) and run through
+    Rayleigh-quotient iteration (gtsv), one solve per level and sweep: the
+    first shift is seed k, each later one the Rayleigh quotient, until the
+    unit vector moves by at most _REFINE_STEP, in at most
     _MAX_REFINE_SOLVES sweeps.  Rayleigh quotient and residual use
     differences of psi, so the 1/h^2 diagonal never cancels.  The pairs are
     certified as the lowest ones to within the bisection accuracy
@@ -401,8 +416,10 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
     shift = np.asarray(seeds_ev, dtype=float) / HARTREE_EV
     rho = np.empty(m)
     r = np.empty(m)
+    sampled = np.array_equal(start_z, z)       # e.g. the previous Stark field's state
     for k in range(m):
-        vecs[:, k] = unit(np.interp(z, start_z, start_vecs[:, k]), k)
+        col = start_vecs[:, k]
+        vecs[:, k] = unit(col if sampled else np.interp(z, start_z, col), k)
     moving = list(range(m))
     for _ in range(_MAX_REFINE_SOLVES):
         for k in list(moving):
@@ -442,10 +459,14 @@ def _eigenpairs(spec: PotentialSpec, grid: GridSpec, v_ev: np.ndarray, count: in
     first step of this ladder that returns:
       1. `_refine` from `start`, eigenpairs in hand (energies in eV, nodes,
          one vector column per state), if given;
-      2. bisect the grid 4x coarser and `_refine` from its eigenpairs, if
+      2. solve the grid 4x coarser by this same ladder, stopping at its
+         first certified energies, and `_refine` from its eigenpairs, if
          `grid` has at least 4 * _COARSE_POINTS_PER_LEVEL points per level;
       3. bisect `grid` itself.
-    Both refines stop at the first certified energies with `energies_only`.
+    So a fresh solve bisects only the coarsest grid of its cascade and
+    climbs back by refines, and a level whose refine fails bisects that
+    level alone.  Both refines stop at the first certified energies with
+    `energies_only`.
     """
     if start is not None:
         try:
@@ -454,7 +475,8 @@ def _eigenpairs(spec: PotentialSpec, grid: GridSpec, v_ev: np.ndarray, count: in
             pass        # solve outside the handler, so the traceback frees _refine's arrays
     if grid.points >= 4 * _COARSE_POINTS_PER_LEVEL * count:
         coarse = surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)
-        seeds, vecs = _eigensolve(coarse, build_potential(spec, coarse).samples_ev, count)
+        seeds, vecs = _eigenpairs(spec, coarse, build_potential(spec, coarse).samples_ev,
+                                  count, energies_only=True)
         try:
             return _refine(grid, v_ev, seeds, coarse.nodes(), vecs, energies_only)
         except SolverError:
@@ -573,8 +595,8 @@ def richardson_energies(spec: PotentialSpec, grid: GridSpec,
                         halvings: int = 3, state: int = 0) -> list[float]:
     """Ground (or `state`) energies in meV at h, h/2, ..., h/2^halvings.
 
-    Each grid is solved by `_eigenpairs`: the first from the grid 4x
-    coarser, each halved one from the eigenpairs of the grid before.
+    Each grid is solved by `_eigenpairs`: the first from its cascade of
+    coarser grids, each halved one from the eigenpairs of the grid before.
     """
     checked(halvings, "{} halvings", 0, MAX_GRID_POINTS)
     out = []

@@ -121,6 +121,8 @@ NAN = math.nan
     lambda: zstates.Interface(NAN, NAN, 1.2, 1.0),
     lambda: zstates.InfiniteBarrierImage(1.0),
     lambda: zstates.GridSpec(-1e308, 1e308, 3),
+    lambda: zstates.RegularizedImage(1.0, 1.05, 10**400),
+    lambda: zstates.hydrogenic_charge(10**400),
     lambda: zstates.richardson_energies(zstates.InfiniteBarrierImage(1.5),
                                         zstates.surface_grid(-20.0, 300.0, 1.6), state=-1),
     lambda: zstates.richardson_energies(zstates.InfiniteBarrierImage(1.5),
@@ -130,8 +132,8 @@ NAN = math.nan
     lambda: matter.lj_potential(1e-300, matter.ParticleSpecies("x", 1.0, 1.0, 1.0)),
     lambda: matter.v0_weak_scattering(1.0, NAN),
 ], ids=["budget", "spin-input", "imagecharge", "larmor", "v0-inf", "v0-cap", "interface",
-        "no-image", "grid-spacing", "richardson-state", "richardson-halvings", "fermi",
-        "curve-cap", "lj-overflow", "weak-scattering"])
+        "no-image", "grid-spacing", "huge-int-cutoff", "huge-int-eps", "richardson-state",
+        "richardson-halvings", "fermi", "curve-cap", "lj-overflow", "weak-scattering"])
 def test_library_entry_points_refuse_out_of_range_values(call):
     with pytest.raises(ValueError, match=" is outside "):
         call()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eqls import zstates
@@ -43,6 +43,17 @@ def bisection_bound_ev(grid, v_ev):
     return 4.0 * np.finfo(float).eps * t_norm * HARTREE_EV
 
 
+def cascade(grid, count):
+    """The grids a fresh solve of `count` levels on `grid` passes, finest first:
+    each 4x coarser than the one before, down to the first with fewer than
+    4 * _COARSE_POINTS_PER_LEVEL points per level, which is the one bisected."""
+    grids = [grid]
+    while grids[-1].points >= 4 * zstates._COARSE_POINTS_PER_LEVEL * count:
+        coarse = grids[-1]
+        grids.append(surface_grid(coarse.z_min_A, coarse.z_max_A, 4.0 * coarse.h_A))
+    return grids
+
+
 class TestGrid:
     def test_rejects_one_sided_grid(self):
         with pytest.raises(ValueError):
@@ -53,6 +64,15 @@ class TestGrid:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, 2)
+
+    def test_nodes_are_built_once_and_read_only(self):
+        grid = surface_grid(-20.0, 300.0, 1.6)
+        z = grid.nodes()
+        assert grid.nodes() is z
+        assert np.array_equal(z, grid.z_min_A + grid.h_A * np.arange(grid.points))
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 0.0
+        assert grid == surface_grid(-20.0, 300.0, 1.6)      # the array is no field
 
     def test_point_cap_is_checked_before_allocation(self):
         GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS)      # holds three numbers only
@@ -399,7 +419,7 @@ class TestRefine:
             grid = default_grid(RegularizedImage(surface.barrier_v0_ev,
                                                  surface.dielectric_constant,
                                                  surface.scattering_length_A))
-            assert bisected == [surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)]
+            assert bisected == cascade(grid, 2)[-1:]
 
     def test_uncertified_result_falls_back_to_bisection(self, monkeypatch):
         # one linear solve cannot bring an interpolated start vector to rest,
@@ -519,6 +539,61 @@ class TestRefine:
             self._assert_halving_change_matches_bisection(spec, 2)
 
 
+class TestCascade:
+    """A fresh solve bisects only its coarsest grid and climbs back by refines."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0),
+           b=st.floats(0.05, 2.0), levels=st.integers(1, 6))
+    def test_reported_solve_bisects_one_coarse_grid(self, bisected, eps, v0, b, levels):
+        spec = RegularizedImage(v0_ev=v0, eps_r=eps, b_A=b)
+        profile = build_potential(spec, default_grid(spec, levels))
+        bisected.clear()
+        result = solve_bound_states(profile, levels)
+        assert bisected == cascade(profile.grid, levels)[-1:]
+        assert bisected[0].points < 4 * zstates._COARSE_POINTS_PER_LEVEL * levels
+        exact, _ = zstates._eigensolve(profile.grid, profile.samples_ev, levels)
+        bound = bisection_bound_ev(profile.grid, profile.samples_ev) * 1e3
+        for k, state in enumerate(result.states):
+            assert abs(state.energy_mev - float(exact[k]) * 1e3) <= bound
+
+    def test_failed_refine_on_an_intermediate_grid_bisects_that_grid_only(self, monkeypatch,
+                                                                          bisected):
+        grid = default_grid(HE_SPEC)
+        grids = cascade(grid, 1)
+        assert [g.points for g in grids] == [6453, 1615, 405, 103]
+        refine = zstates._refine
+        tried = []
+
+        def failing_on_405(g, *args):
+            tried.append(g)
+            if g == grids[2]:
+                raise zstates.SolverError("forced")
+            return refine(g, *args)
+
+        monkeypatch.setattr(zstates, "_refine", failing_on_405)
+        profile = build_potential(HE_SPEC, grid)
+        result = solve_bound_states(profile, 1, report_convergence=False)
+        # 405 points fall back to bisection; 1615 and this grid still refine
+        assert bisected == [grids[3], grids[2]]
+        assert tried == [grids[2], grids[1], grid]
+        exact, _ = zstates._eigensolve(grid, profile.samples_ev, 1)
+        bound = bisection_bound_ev(grid, profile.samples_ev) * 1e3
+        assert abs(result.states[0].energy_mev - float(exact[0]) * 1e3) <= bound
+
+    def test_bundled_spectra_bisect_once(self, registry, lapack_calls):
+        # dstein runs only inside a bisection, once per level: two calls are one
+        # bisection of two levels (on 405-419 points).  Each refine certifies
+        # with one Sturm count (dstebz) and solves one dgtsv per level and
+        # sweep: 2 sweeps on the grid 4x coarser, whose energies alone must
+        # certify, 3 on the base grid, 1 on the halved grid
+        for surface in registry.surfaces:
+            lapack_calls.clear()
+            assert solve_surface(surface).shortfall == 0
+            assert lapack_calls == {"dgtsv": 12, "dstebz": 4, "dstein": 2}
+
+
 class TestRichardson:
     def test_bundled_surfaces_bisect_only_the_coarse_grid(self, registry, bisected):
         for surface in registry.surfaces:
@@ -528,7 +603,7 @@ class TestRichardson:
             for state in (0, 1):
                 bisected.clear()
                 zstates.richardson_energies(spec, grid, 2, state)
-                assert bisected == [surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)]
+                assert bisected == cascade(grid, state + 1)[-1:]
 
     def test_second_order_convergence(self):
         energies = zstates.richardson_energies(HE_SPEC, default_grid(HE_SPEC),
@@ -620,12 +695,14 @@ class TestStarkScan:
         fields = [0.0, 2e3, 5e3, 1e4, -1e6, 2e4, 3e4, 1e5]
         grid = default_grid(HE_SPEC)
         points = stark_scan(HE_SPEC, fields, grid)
-        # every field is refined once: 0 and 2e4 V/m, which have no bound
-        # predecessor, from the grid 4x coarser, the others from the previous
-        # field's ground state; only -1e6, which binds nothing, lies too far
-        # from its predecessor to certify and is refined again from the grid
-        # 4x coarser
-        assert len(refined) == 8
+        # 0 and 2e4 V/m have no bound predecessor, so each climbs the cascade
+        # from its coarsest grid (103 points) through 405 and 1615 points to
+        # this one: three refines each.  The other fields are refined once,
+        # from the previous field's ground state; only -1e6, which binds
+        # nothing, lies too far from its predecessor to certify (a failed
+        # refine, not counted) and climbs the cascade as well: 3 * 3 + 5
+        assert [g.points for g in cascade(grid, 1)] == [6453, 1615, 405, 103]
+        assert len(refined) == 14
         for point in points:
             tilted = dataclasses.replace(HE_SPEC, pressing_field_v_per_m=point.field_v_per_m)
             profile = build_potential(tilted, grid)
@@ -641,12 +718,12 @@ class TestStarkScan:
 
     def test_uncertified_field_bisects_only_the_coarse_grid(self, bisected):
         # -1e6 V/m binds nothing, and its predecessor's ground state does not
-        # certify on its grid; its fresh solve bisects the grid 4x coarser
+        # certify on its grid; its fresh solve bisects the cascade's coarsest grid
         grid = default_grid(HE_SPEC)
         points = stark_scan(HE_SPEC, [1e4, -1e6], grid)
         assert points[0].state is not None and points[1].state is None
-        coarse = surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)
-        assert bisected == [coarse, coarse]
+        coarsest = cascade(grid, 1)[-1]
+        assert bisected == [coarsest, coarsest]
 
 
 class TestIdentityOracles:

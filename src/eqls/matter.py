@@ -1,5 +1,5 @@
-"""Species and substance data: Lennard-Jones parameters, de Boer parameter,
-weak-scattering barrier estimate, and the substance registry.
+"""Species and substance data: Lennard-Jones parameters, de Boer parameter
+and the substance registry.
 
 A bundled registry ships six nonpolar species (3He, 4He, Ne, H2, HD, D2)
 with their LJ parameters, and six condensed surfaces (liquid 3He/4He,
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .units import (AMU_PER_ELECTRON_MASS, BOHR_ANGSTROM, HARTREE_K, HBAR2_OVER_ME_EV_A2,
-                    checked)
+from .units import AMU_PER_ELECTRON_MASS, BOHR_ANGSTROM, HARTREE_K, checked
 
 
 class RegistryError(ValueError):
@@ -135,18 +134,6 @@ def _lookup(table: dict, name: str, kind: str):
     raise RegistryError(f"unknown {kind} {name!r}; known: {known}")
 
 
-def lj_potential(r_A: float, species: ParticleSpecies) -> float:
-    """Pair interaction 4*eps*[(sigma/r)^12 - (sigma/r)^6] in K at separation r (A).
-
-    Zero at r = sigma, minimum -eps at r = 2^(1/6) sigma.
-    """
-    checked(r_A, "separation r = {} A", 0.0, ends="(]")
-    s = species.sigma_A / r_A
-    x6 = s * s * s * s * s * s         # overflows to inf, where ** would raise
-    return checked(4.0 * species.epsilon_K * (x6 * x6 - x6),
-                   f"the LJ potential of {species.name} at r = {r_A:g} A")
-
-
 def de_boer(species: ParticleSpecies) -> float:
     """Quantumness parameter: de Broglie wavelength of relative pair motion
     over the pair distance, h / (sigma * sqrt(m * eps)), dimensionless.
@@ -158,18 +145,6 @@ def de_boer(species: ParticleSpecies) -> float:
     # one positive divisor at a time, so that no product underflows to zero
     return checked(2.0 * math.pi * math.sqrt(HARTREE_K) / sigma_au / math.sqrt(m_au)
                    / math.sqrt(species.epsilon_K), f"the de Boer parameter of {species.name}")
-
-
-def v0_weak_scattering(number_density_A3: float, scattering_length_A: float) -> float:
-    """Barrier height 2*pi*hbar^2*n*a_s/m_e in eV (weak-scattering estimate).
-
-    Valid for n^(1/3)*a_s << 1; condensed phases are denser, so the bundled
-    V0 values come from multi-scattering treatments instead.
-    """
-    checked(number_density_A3, "number density {} A^-3", 0.0)
-    checked(scattering_length_A, "scattering length {} A")
-    return checked(2.0 * math.pi * HBAR2_OVER_ME_EV_A2 * number_density_A3
-                   * scattering_length_A, "the weak-scattering barrier {} eV")
 
 
 _REQUIRED_SPECIES = ("name", "mass_amu", "sigma_A", "epsilon_K")

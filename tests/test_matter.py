@@ -2,51 +2,12 @@ import json
 
 import pytest
 
-from eqls.matter import (
-    ParticleSpecies,
-    RegistryError,
-    de_boer,
-    lj_potential,
-    load_registry,
-    v0_weak_scattering,
-)
-
-HE4 = ParticleSpecies("4He", 4.0026, 2.556, 10.2)
+from eqls.matter import RegistryError, de_boer, load_registry
 
 # published de Boer parameters for the six bundled species
 DE_BOER_TABLE = {
     "3He": 3.09, "4He": 2.68, "Ne": 0.59, "H2": 1.73, "HD": 1.41, "D2": 1.22,
 }
-
-
-class TestLennardJones:
-    def test_zero_at_sigma(self):
-        assert lj_potential(HE4.sigma_A, HE4) == pytest.approx(0.0, abs=1e-12)
-
-    def test_minimum_at_r0(self):
-        r0 = 2 ** (1 / 6) * HE4.sigma_A
-        assert lj_potential(r0, HE4) == pytest.approx(-HE4.epsilon_K, rel=1e-12)
-        # it is a minimum
-        assert lj_potential(r0 * 1.01, HE4) > -HE4.epsilon_K
-        assert lj_potential(r0 * 0.99, HE4) > -HE4.epsilon_K
-
-    def test_value_inside_core(self):
-        # 4*(0.9^-12 - 0.9^-6), direct evaluation
-        sp = ParticleSpecies("x", 1.0, 1.0, 1.0)
-        assert lj_potential(0.9, sp) == pytest.approx(6.636118953252913, rel=1e-12)
-
-    @pytest.mark.parametrize("r_over_sigma", [0.5, 0.8, 0.95, 0.999])
-    def test_repulsive_inside_sigma(self, r_over_sigma):
-        assert lj_potential(r_over_sigma * HE4.sigma_A, HE4) > 0
-
-    @pytest.mark.parametrize("r_over_sigma", [1.001, 1.2, 2.0, 10.0])
-    def test_attractive_outside_sigma(self, r_over_sigma):
-        assert lj_potential(r_over_sigma * HE4.sigma_A, HE4) < 0
-
-    @pytest.mark.parametrize("r", [0.0, -1.0])
-    def test_rejects_nonpositive_separation(self, r):
-        with pytest.raises(ValueError):
-            lj_potential(r, HE4)
 
 
 class TestDeBoer:
@@ -59,23 +20,6 @@ class TestDeBoer:
         # H2, HD, D2 share sigma and epsilon and differ only in mass
         values = [de_boer(registry.get_species(n)) for n in ("H2", "HD", "D2")]
         assert values[0] > values[1] > values[2]
-
-
-class TestWeakScatteringBarrier:
-    def test_zero_scattering_length(self):
-        assert v0_weak_scattering(0.0218, 0.0) == 0.0
-
-    def test_liquid_helium(self):
-        assert v0_weak_scattering(0.0218, 0.62) == pytest.approx(0.647114, rel=1e-5)
-
-    def test_solid_neon(self):
-        assert v0_weak_scattering(0.0460, 0.38) == pytest.approx(0.836901, rel=1e-5)
-
-    @pytest.mark.parametrize("scale", [0.5, 2.0, 7.0])
-    def test_linear_in_density_and_length(self, scale):
-        base = v0_weak_scattering(0.02, 0.5)
-        assert v0_weak_scattering(0.02 * scale, 0.5) == pytest.approx(scale * base)
-        assert v0_weak_scattering(0.02, 0.5 * scale) == pytest.approx(scale * base)
 
 
 class TestRegistry:

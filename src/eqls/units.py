@@ -1,9 +1,9 @@
-"""Physical constants (CODATA 2018) and the one input check.
+"""Physical constants (CODATA 2018) and unit conversions.
 
 Everything numerical in this package is computed in Hartree atomic units
 (hbar = m_e = e = 1, energies in Hartree, lengths in Bohr radii) and
-converted at the boundaries.  Every module takes its constants from here,
-so all of them agree bit-for-bit.
+converted at the boundaries.  This module is the single source of truth
+for the conversion factors.
 
 Constants, frozen at CODATA 2018:
 
@@ -21,6 +21,10 @@ Derived combination used throughout:
 
     Hartree / k_B   = 315775.02 K
 
+Temperatures are treated as thermal-equivalent energies (via k_B) and
+frequencies as photon-equivalent energies (via h); converting between any
+two members of the energy family is therefore allowed.
+
 `checked` is the one input check of every dataclass, public numeric entry
 point and printed result, and `SolverError` the one numerical failure.
 """
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
+from enum import Enum
 
 # --- fundamental constants (SI) ---
 PLANCK_J_S = 6.62607015e-34
@@ -76,3 +82,72 @@ def checked(value, name: str, low: float = -math.inf, high: float = math.inf,
 
 class SolverError(RuntimeError):
     """A numerical method did not converge or could not certify its result."""
+
+
+class Unit(Enum):
+    HARTREE = "Hartree"
+    EV = "eV"
+    MEV = "meV"
+    KELVIN = "K"
+    THZ = "THz"
+    GHZ = "GHz"
+    MHZ = "MHz"
+    ANGSTROM = "A"
+    NM = "nm"
+    BOHR = "a_B"
+    PER_CM2 = "cm^-2"
+    PER_A3 = "A^-3"
+    TESLA = "T"
+    TESLA_PER_M = "T/m"
+    AMU = "amu"
+
+
+# family name and factor to the family's base unit
+_FAMILIES: dict[Unit, tuple[str, float]] = {
+    Unit.HARTREE: ("energy", HARTREE_EV),
+    Unit.EV: ("energy", 1.0),
+    Unit.MEV: ("energy", 1e-3),
+    Unit.KELVIN: ("energy", BOLTZMANN_EV_PER_K),        # thermal equivalence
+    Unit.THZ: ("energy", PLANCK_EV_S * 1e12),           # photon equivalence
+    Unit.GHZ: ("energy", PLANCK_EV_S * 1e9),
+    Unit.MHZ: ("energy", PLANCK_EV_S * 1e6),
+    Unit.ANGSTROM: ("length", 1.0),
+    Unit.NM: ("length", 10.0),
+    Unit.BOHR: ("length", BOHR_ANGSTROM),
+    Unit.PER_CM2: ("areal density", 1.0),
+    Unit.PER_A3: ("volume density", 1.0),
+    Unit.TESLA: ("magnetic field", 1.0),
+    Unit.TESLA_PER_M: ("field gradient", 1.0),
+    Unit.AMU: ("mass", 1.0),
+}
+
+
+class UnitError(ValueError):
+    """Raised for conversions between dimensionally incompatible units."""
+
+
+@dataclass(frozen=True)
+class Quantity:
+    value: float
+    unit: Unit
+
+    def to(self, target: Unit) -> "Quantity":
+        return convert(self, target)
+
+
+def conversion_factor(source: Unit, target: Unit) -> float:
+    """Multiplicative factor taking a value in `source` to `target`."""
+    fam_s, fac_s = _FAMILIES[source]
+    fam_t, fac_t = _FAMILIES[target]
+    if fam_s != fam_t:
+        raise UnitError(
+            f"cannot convert {source.value} ({fam_s}) to {target.value} ({fam_t})"
+        )
+    if source is target:
+        return 1.0
+    return fac_s / fac_t
+
+
+def convert(q: Quantity, target: Unit) -> Quantity:
+    """Convert a quantity to a compatible unit; identity conversion is exact."""
+    return Quantity(q.value * conversion_factor(q.unit, target), target)

@@ -1,24 +1,78 @@
+import itertools
 import math
 
 import pytest
 
 from eqls import cqed, phases, zstates
 from eqls.matter import RegistryError
-from eqls.units import BOLTZMANN_EV_PER_K, HARTREE_EV, NORMAL, PLANCK_EV_S, checked
+from eqls.units import (
+    BOLTZMANN_EV_PER_K,
+    NORMAL,
+    PLANCK_EV_S,
+    Quantity,
+    Unit,
+    UnitError,
+    checked,
+    conversion_factor,
+    convert,
+)
+
+ENERGY_UNITS = [Unit.HARTREE, Unit.EV, Unit.MEV, Unit.KELVIN,
+                Unit.THZ, Unit.GHZ, Unit.MHZ]
+LENGTH_UNITS = [Unit.ANGSTROM, Unit.NM, Unit.BOHR]
 
 
 def test_hartree_to_ev():
-    assert HARTREE_EV == pytest.approx(27.211386, rel=1e-7)
+    q = convert(Quantity(1.0, Unit.HARTREE), Unit.EV)
+    assert q.value == pytest.approx(27.211386, rel=1e-7)
 
 
 def test_thermal_equivalence():
     # 10.2 K * k_B
-    assert 10.2 * BOLTZMANN_EV_PER_K == pytest.approx(8.789680e-4, rel=1e-6)
+    q = convert(Quantity(10.2, Unit.KELVIN), Unit.EV)
+    assert q.value == pytest.approx(8.789680e-4, rel=1e-6)
 
 
 def test_photon_equivalence():
     # 1 THz * h / k_B
-    assert PLANCK_EV_S * 1e12 / BOLTZMANN_EV_PER_K == pytest.approx(47.99243, rel=1e-6)
+    q = convert(Quantity(1.0, Unit.THZ), Unit.KELVIN)
+    assert q.value == pytest.approx(47.99243, rel=1e-6)
+
+
+def test_identity_conversion_is_exact():
+    for unit in Unit:
+        assert convert(Quantity(1.2345678901234567, unit), unit).value == 1.2345678901234567
+
+
+@pytest.mark.parametrize("a,b", list(itertools.permutations(ENERGY_UNITS, 2)))
+def test_energy_round_trip(a, b):
+    q = Quantity(3.7, a)
+    back = convert(convert(q, b), a)
+    assert back.value == pytest.approx(3.7, rel=1e-12)
+
+
+@pytest.mark.parametrize("a,b", list(itertools.permutations(LENGTH_UNITS, 2)))
+def test_length_round_trip(a, b):
+    back = convert(convert(Quantity(2.5, a), b), a)
+    assert back.value == pytest.approx(2.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("a,mid,b",
+                         list(itertools.permutations(ENERGY_UNITS, 3)))
+def test_energy_factor_composition(a, mid, b):
+    # composing any two conversions equals the direct factor
+    composed = conversion_factor(a, mid) * conversion_factor(mid, b)
+    assert composed == pytest.approx(conversion_factor(a, b), rel=1e-12)
+
+
+def test_incompatible_dimensions_name_both_units():
+    with pytest.raises(UnitError) as err:
+        convert(Quantity(1.0, Unit.EV), Unit.NM)
+    assert "eV" in str(err.value) and "nm" in str(err.value)
+
+
+def test_quantity_to_method():
+    assert Quantity(1.0, Unit.NM).to(Unit.ANGSTROM).value == pytest.approx(10.0)
 
 
 def test_reference_rows_frequency_energy_consistent(registry):

@@ -212,7 +212,7 @@ def _cmd_states(args) -> int:
     rows = []
     for k, st in enumerate(result.states):
         change = (result.convergence.energy_change_mev[k]
-                  if result.convergence and k < len(result.convergence.energy_change_mev)
+                  if k < len(result.convergence.energy_change_mev)
                   else None)
         rows.append({"state": k + 1, "energy_meV": st.energy_mev,
                      "nodes": st.node_count, "mean_z_nm": st.mean_z_nm,
@@ -263,7 +263,6 @@ def _cmd_phase_diagram(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    checked(args.gamma0, "gamma0 = {}", 0.0, ends="(]")
     point = phases.electron_gas_point(args.density, args.temperature)
     _emit_row(args, {"density_cm2": args.density, "temperature_K": args.temperature,
                      "gamma0": args.gamma0, "gamma": point.gamma,

@@ -163,6 +163,7 @@ class ElectronGasPoint:
     def phase(self, gamma0: float) -> PhaseLabel:
         """Quantum iff E_F >= kT (quantum on equality); solid iff Gamma >= gamma0,
         gas iff Gamma <= 1, liquid in between."""
+        checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
         quantum = self.fermi_energy_ev >= self.temperature_k * HARTREE_EV / HARTREE_K
         if self.gamma >= gamma0:
             return PhaseLabel.QUANTUM_WIGNER_SOLID if quantum else PhaseLabel.CLASSICAL_WIGNER_SOLID
@@ -183,7 +184,6 @@ def electron_gas_point(n_cm2: float, t_k: float) -> ElectronGasPoint:
 
 def classify(n_cm2: float, t_k: float, gamma0: float = DEFAULT_GAMMA0) -> PhaseLabel:
     """Phase of the 2D electron system at (n, T): `ElectronGasPoint.phase`."""
-    checked(gamma0, "gamma0 = {}", 0.0, ends="(]")
     return electron_gas_point(n_cm2, t_k).phase(gamma0)
 
 

@@ -1,4 +1,4 @@
-"""Physical constants (CODATA 2018) and unit conversions.
+"""Physical constants (CODATA 2018) and energy and length unit conversions.
 
 Everything numerical in this package is computed in Hartree atomic units
 (hbar = m_e = e = 1, energies in Hartree, lengths in Bohr radii) and
@@ -22,8 +22,8 @@ Derived combination used throughout:
     Hartree / k_B   = 315775.02 K
 
 Temperatures are treated as thermal-equivalent energies (via k_B) and
-frequencies as photon-equivalent energies (via h); converting between any
-two members of the energy family is therefore allowed.
+frequencies as photon-equivalent energies (via h), so `conversion_factor`
+converts between any two members of the energy family.
 
 `checked` is the one input check of every dataclass, public numeric entry
 point and printed result, and `SolverError` the one numerical failure.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 # --- fundamental constants (SI) ---
@@ -95,11 +94,6 @@ class Unit(Enum):
     ANGSTROM = "A"
     NM = "nm"
     BOHR = "a_B"
-    PER_CM2 = "cm^-2"
-    PER_A3 = "A^-3"
-    TESLA = "T"
-    TESLA_PER_M = "T/m"
-    AMU = "amu"
 
 
 # family name and factor to the family's base unit
@@ -114,25 +108,11 @@ _FAMILIES: dict[Unit, tuple[str, float]] = {
     Unit.ANGSTROM: ("length", 1.0),
     Unit.NM: ("length", 10.0),
     Unit.BOHR: ("length", BOHR_ANGSTROM),
-    Unit.PER_CM2: ("areal density", 1.0),
-    Unit.PER_A3: ("volume density", 1.0),
-    Unit.TESLA: ("magnetic field", 1.0),
-    Unit.TESLA_PER_M: ("field gradient", 1.0),
-    Unit.AMU: ("mass", 1.0),
 }
 
 
 class UnitError(ValueError):
     """Raised for conversions between dimensionally incompatible units."""
-
-
-@dataclass(frozen=True)
-class Quantity:
-    value: float
-    unit: Unit
-
-    def to(self, target: Unit) -> "Quantity":
-        return convert(self, target)
 
 
 def conversion_factor(source: Unit, target: Unit) -> float:
@@ -146,8 +126,3 @@ def conversion_factor(source: Unit, target: Unit) -> float:
     if source is target:
         return 1.0
     return fac_s / fac_t
-
-
-def convert(q: Quantity, target: Unit) -> Quantity:
-    """Convert a quantity to a compatible unit; identity conversion is exact."""
-    return Quantity(q.value * conversion_factor(q.unit, target), target)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from eqls import zstates
 from eqls.units import BOHR_ANGSTROM, HARTREE_EV
@@ -24,6 +25,8 @@ from eqls.zstates import (
 )
 
 from conftest import solve_surface
+from test_acceptance import _exact_regularized_levels
+from whittaker import energy_of, nu_of, regularized_image_levels
 
 HE_SPEC = RegularizedImage(v0_ev=1.1, eps_r=1.056, b_A=0.62)
 NE_SPEC = RegularizedImage(v0_ev=0.7, eps_r=1.244, b_A=0.38)
@@ -786,6 +789,51 @@ class TestIdentityOracles:
             assert result.shortfall == 0
             reduced.append([s.energy_mev * 1e-3 / energy for s in result.states])
         assert np.array(reduced) == pytest.approx(np.array([reduced[0]] * 13), rel=1e-8)
+
+
+def fd_levels_below(profile, e_mev):
+    """Sturm count: eigenvalues of the finite-difference matrix below `e_mev`."""
+    _, _, diag, off = zstates._hamiltonian(profile.grid, profile.samples_ev)
+    floor = np.min(diag) - 2.0 * abs(off[0]) - 1.0          # below every Gershgorin disc
+    return len(eigvalsh_tridiagonal(diag, off, select="v", lapack_driver="stebz",
+                                    select_range=(floor, e_mev * 1e-3 / HARTREE_EV)))
+
+
+class TestExactLevels:
+    """Random `RegularizedImage` spectra against their exact levels (`whittaker.py`)."""
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0), b=st.floats(0.05, 2.0),
+           levels=st.integers(1, 3))
+    def test_fast_oracle_matches_mpmath(self, eps, v0, b, levels):
+        assert (regularized_image_levels(v0, eps, b, levels)
+                == pytest.approx(_exact_regularized_levels(v0, eps, b, levels), rel=1e-10))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0), b=st.floats(0.05, 2.0),
+           levels=st.integers(1, 6))
+    def test_levels_lie_within_twice_the_halving_change(self, eps, v0, b, levels):
+        # Measured on 10247 levels of 2860 specs over these ranges and their
+        # corners: (E(h) - E)/dE, with dE the halving change, is near 4/3 but
+        # spans -1.2 to 2.7 where b >= h and -72 to 492 where b < h, because dE
+        # passes through zero where the h^2 error term cancels (at V0 = 0.5 eV,
+        # b = 0.05 A, dE0 turns from -8e-6 to +3e-6 meV between eps = 1.020 and
+        # 1.021 while E(h) - E stays 1e-4 meV).  So no c bounds |E(h) - E| by
+        # c |dE| alone.  With c = 2 the rest is at most 2.9e-7 |E| where b >= h
+        # and 1.2e-3 |E| where b < h (the convergence note's under-report case).
+        spec = RegularizedImage(v0_ev=v0, eps_r=eps, b_A=b)
+        profile = build_potential(spec, default_grid(spec, levels))
+        result = solve_bound_states(profile, levels)
+        exact = regularized_image_levels(v0, eps, b, levels + 1)
+        # the exact roots below the midpoint (in nu) of levels and levels + 1 are
+        # all the finite-difference matrix has there: the scan missed none
+        cut = energy_of((nu_of(exact[-2], eps) + nu_of(exact[-1], eps)) / 2.0, eps)
+        assert fd_levels_below(profile, cut) == levels
+        assert result.shortfall == 0
+        rest = 1e-6 if b >= profile.grid.h_A else 2e-3
+        for state, change, e in zip(result.states, result.convergence.energy_change_mev,
+                                    exact[:levels], strict=True):
+            assert abs(state.energy_mev - e) <= 2.0 * abs(change) + rest * abs(e)
 
 
 class TestWavefunctionDump:

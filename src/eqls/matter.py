@@ -72,64 +72,57 @@ class SubstanceSurface:
     def __post_init__(self):
         _check_name(self.name, "surface")
 
-        def above(value, field, low=0.0):
-            checked(value, f"surface {self.name!r}: {field} = {{}}", low, ends="(]",
-                    error=RegistryError)
+        def inside(value, field, low=0.0, high=math.inf, ends="(]"):
+            checked(value, f"surface {self.name!r}: {field} = {{}}", low, high, ends,
+                    RegistryError)
 
-        above(self.number_density_A3, "number_density_A3")
-        above(self.scattering_length_A, "scattering_length_A")
-        above(self.dielectric_constant, "dielectric_constant", 1.0)
-        above(self.barrier_v0_ev, "barrier_V0_eV")
+        inside(self.number_density_A3, "number_density_A3")
+        inside(self.scattering_length_A, "scattering_length_A")
+        inside(self.dielectric_constant, "dielectric_constant", 1.0)
+        inside(self.barrier_v0_ev, "barrier_V0_eV")
         if self.density_limit_cm2 is not None:
-            above(self.density_limit_cm2, "density_limit_cm2")
+            inside(self.density_limit_cm2, "density_limit_cm2")
+        if self.reference is not None:
+            for key, value in zip(_REQUIRED_REFERENCE, vars(self.reference).values()):
+                # each divides a residual: energies negative, the rest positive
+                low, high = (-math.inf, 0.0) if key.startswith("E_") else (0.0, math.inf)
+                inside(value, f"reference {key}", low, high, "()")
 
 
+@dataclass(frozen=True)
 class SubstanceRegistry:
-    """Ordered, case-insensitively keyed collection of species and surfaces.
+    """Species and surfaces in file order, each name unique case-insensitively.
 
-    Immutable after construction; lookups accept exact names or unique
-    case-insensitive substrings.
+    Lookups accept an exact name or a unique substring, case-insensitively.
     """
 
-    def __init__(self, species: list[ParticleSpecies], surfaces: list[SubstanceSurface]):
-        self._species: dict[str, ParticleSpecies] = {}
-        self._surfaces: dict[str, SubstanceSurface] = {}
-        for sp in species:
-            key = sp.name.lower()
-            if key in self._species:
-                raise RegistryError(f"duplicate species name {sp.name!r}")
-            self._species[key] = sp
-        for sf in surfaces:
-            key = sf.name.lower()
-            if key in self._surfaces:
-                raise RegistryError(f"duplicate surface name {sf.name!r}")
-            self._surfaces[key] = sf
+    species: tuple[ParticleSpecies, ...]
+    surfaces: tuple[SubstanceSurface, ...]
 
-    @property
-    def species(self) -> list[ParticleSpecies]:
-        return list(self._species.values())
-
-    @property
-    def surfaces(self) -> list[SubstanceSurface]:
-        return list(self._surfaces.values())
+    def __post_init__(self):
+        for kind, records in (("species", self.species), ("surface", self.surfaces)):
+            seen = set()
+            for record in records:
+                if record.name.lower() in seen:
+                    raise RegistryError(f"duplicate {kind} name {record.name!r}")
+                seen.add(record.name.lower())
 
     def get_species(self, name: str) -> ParticleSpecies:
-        return _lookup(self._species, name, "species")
+        return _lookup(self.species, name, "species")
 
     def get_surface(self, name: str) -> SubstanceSurface:
-        return _lookup(self._surfaces, name, "surface")
+        return _lookup(self.surfaces, name, "surface")
 
 
-def _lookup(table: dict, name: str, kind: str):
+def _lookup(records: tuple, name: str, kind: str):
     key = name.lower()
-    if key in table:
-        return table[key]
-    matches = [k for k in table if key in k]
+    matches = ([r for r in records if r.name.lower() == key]
+               or [r for r in records if key in r.name.lower()])
     if len(matches) == 1:
-        return table[matches[0]]
-    known = ", ".join(v.name for v in table.values())
-    if len(matches) > 1:
-        hits = ", ".join(table[k].name for k in matches)
+        return matches[0]
+    known = ", ".join(r.name for r in records)
+    if matches:
+        hits = ", ".join(r.name for r in matches)
         raise RegistryError(f"ambiguous {kind} {name!r} (matches {hits}); known: {known}")
     raise RegistryError(f"unknown {kind} {name!r}; known: {known}")
 
@@ -153,19 +146,18 @@ _REQUIRED_SURFACE = ("name", "number_density_A3", "scattering_length_A",
 _REQUIRED_REFERENCE = ("E_z1_meV", "E_z2_meV", "dE_K", "f_THz", "z1_nm", "z2_nm")
 
 
-def _require(entry: dict, fields: tuple, where: str) -> None:
+def _numbers(entry: dict, fields: tuple, where: str) -> list:
+    """The values of `fields` in the JSON object `entry`, which must hold them
+    all: each a float, except a "name", which its record checks."""
     if not isinstance(entry, dict):
         raise RegistryError(f"{where}: must be an object")
     for f in fields:
         if f not in entry:
             raise RegistryError(f"{where}: missing required field {f!r}")
-
-
-def _numbers(entry: dict, fields: tuple, where: str) -> list[float]:
     out = []
     for f in fields:
         try:
-            out.append(float(entry[f]))
+            out.append(entry[f] if f == "name" else float(entry[f]))
         except (TypeError, ValueError, OverflowError):
             raise RegistryError(f"{where}: {f} = {entry[f]!r} is not a number") from None
     return out
@@ -175,34 +167,22 @@ def _parse(doc: dict, origin: str) -> SubstanceRegistry:
     if not isinstance(doc, dict):
         raise RegistryError(f"{origin}: top level must be an object")
     for key in ("species", "surfaces"):
-        if key not in doc or not isinstance(doc[key], list):
+        if not isinstance(doc.get(key), list):
             raise RegistryError(f"{origin}: missing top-level list {key!r}")
-    species = []
-    for i, entry in enumerate(doc["species"]):
-        where = f"{origin}: species[{i}]"
-        _require(entry, _REQUIRED_SPECIES, where)
-        species.append(ParticleSpecies(entry["name"],
-                                       *_numbers(entry, _REQUIRED_SPECIES[1:], where)))
+    species = tuple(
+        ParticleSpecies(*_numbers(entry, _REQUIRED_SPECIES, f"{origin}: species[{i}]"))
+        for i, entry in enumerate(doc["species"]))
     surfaces = []
     for i, entry in enumerate(doc["surfaces"]):
         where = f"{origin}: surfaces[{i}]"
-        _require(entry, _REQUIRED_SURFACE, where)
-        ref = None
-        if entry.get("reference") is not None:
-            where_ref = f"{where}.reference"
-            _require(entry["reference"], _REQUIRED_REFERENCE, where_ref)
-            values = _numbers(entry["reference"], _REQUIRED_REFERENCE, where_ref)
-            for key, value in zip(_REQUIRED_REFERENCE, values):
-                # each divides a residual: energies negative, the rest positive
-                low, high = (-math.inf, 0.0) if key.startswith("E_") else (0.0, math.inf)
-                checked(value, f"{where_ref}: {key} = {{}}", low, high, "()", RegistryError)
-            ref = ReferenceRow(*values)
-        limit = (_numbers(entry, ("density_limit_cm2",), where)[0]
-                 if entry.get("density_limit_cm2") is not None else None)
-        surfaces.append(SubstanceSurface(entry["name"],
-                                         *_numbers(entry, _REQUIRED_SURFACE[1:], where),
-                                         reference=ref, density_limit_cm2=limit))
-    return SubstanceRegistry(species, surfaces)
+        values = _numbers(entry, _REQUIRED_SURFACE, where)
+        ref, limit = entry.get("reference"), entry.get("density_limit_cm2")
+        if ref is not None:
+            ref = ReferenceRow(*_numbers(ref, _REQUIRED_REFERENCE, f"{where}.reference"))
+        if limit is not None:
+            limit, = _numbers(entry, ("density_limit_cm2",), where)
+        surfaces.append(SubstanceSurface(*values, reference=ref, density_limit_cm2=limit))
+    return SubstanceRegistry(species, tuple(surfaces))
 
 
 def load_registry(path: str | Path | None = None) -> SubstanceRegistry:

@@ -120,12 +120,17 @@ def _f1(eta: float) -> float:
     return val
 
 
+def _kinetic(n_cm2: float, t_k: float, kt: float, ef: float, eta: float) -> float:
+    """K_e in eV from the scales (kT, E_F) of (n, T) and eta = mu/kT."""
+    return checked(kt * kt / ef * _f1(eta) * HARTREE_EV,
+                   f"the kinetic energy at density {n_cm2:g} cm^-2 and temperature "
+                   f"{t_k:g} K", NORMAL)
+
+
 def kinetic_energy(n_cm2: float, t_k: float) -> float:
     """Mean kinetic energy per electron of the 2D Fermi gas, in eV."""
     kt, ef = _scales(n_cm2, t_k)
-    return checked(kt * kt / ef * _f1(_eta(ef / kt)) * HARTREE_EV,
-                   f"the kinetic energy at density {n_cm2:g} cm^-2 and temperature "
-                   f"{t_k:g} K", NORMAL)
+    return _kinetic(n_cm2, t_k, kt, ef, _eta(ef / kt))
 
 
 def coulomb_energy(n_cm2: float) -> float:
@@ -173,12 +178,15 @@ class ElectronGasPoint:
 
 
 def electron_gas_point(n_cm2: float, t_k: float) -> ElectronGasPoint:
-    """Energies and Gamma at (n, T), range-checking n before T."""
+    """Energies and Gamma at (n, T), range-checking n before T; (kT, E_F) and
+    eta are derived once, for both mu and K_e."""
     e_f = fermi_energy(n_cm2)
     u_e = coulomb_energy(n_cm2)
-    k_e = kinetic_energy(n_cm2, t_k)
+    kt, ef = _scales(n_cm2, t_k)
+    eta = _eta(ef / kt)
+    k_e = _kinetic(n_cm2, t_k, kt, ef, eta)
     return ElectronGasPoint(density_cm2=n_cm2, temperature_k=t_k, fermi_energy_ev=e_f,
-                            chemical_potential_ev=chemical_potential(n_cm2, t_k),
+                            chemical_potential_ev=kt * eta * HARTREE_EV,
                             kinetic_energy_ev=k_e, coulomb_energy_ev=u_e, gamma=u_e / k_e)
 
 

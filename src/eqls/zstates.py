@@ -98,6 +98,11 @@ _COARSE_POINTS_PER_LEVEL = 64
 _MAX_REFINE_SOLVES = 6
 _REFINE_STEP = 1e-9
 
+# A level that moves by more than this fraction of itself under one grid halving
+# may not be resolved, and its convergence report says so (the bundled surfaces
+# reach 5.5e-4; an unresolved E1 that is 1.6% off reaches 1.2e-2).
+_UNRESOLVED_CHANGE = 1e-3
+
 # Outer/inner fractions of the domain used to detect box-artifact states.
 _EDGE_FRACTION = 0.1
 _EDGE_MASS_TOL = 1e-4
@@ -565,10 +570,16 @@ def solve_bound_states(profile: PotentialProfile, count: int,
             notes.append(f"cutoff b = {source.b_A:.3g} A is below the grid spacing "
                          f"h = {profile.grid.h_A:.3g} A, so the halving change "
                          f"under-reports the error")
+        unresolved = [str(k + 1) for k, d in enumerate(change)
+                      if abs(d) > _UNRESOLVED_CHANGE * abs(states[k].energy_mev)]
         if isinstance(source, Interface):
             notes.append("the interface energy follows the half-cell cap on the 1/z pole "
                          "and falls by about 0.1 eV per halving, so the halving change "
                          "is not an error estimate")
+        elif unresolved:
+            notes.append(f"the halving change exceeds {_UNRESOLVED_CHANGE:g} of the energy "
+                         f"(state {', '.join(unresolved)}), so the level may not be "
+                         f"resolved, and its error can reach about twice the change")
         report = ConvergenceReport(profile.grid.h_A, fine.h_A, change, "; ".join(notes))
     return SolveResult(tuple(states), count, count - len(states), report,
                        tuple(warnings))

@@ -9,6 +9,8 @@ DE_BOER_TABLE = {
     "3He": 3.09, "4He": 2.68, "Ne": 0.59, "H2": 1.73, "HD": 1.41, "D2": 1.22,
 }
 
+DROP = object()     # an edit that deletes its key
+
 
 class TestDeBoer:
     def test_published_values(self, registry):
@@ -116,6 +118,54 @@ class TestRegistry:
         del doc["surfaces"][0]["barrier_V0_eV"]
         with pytest.raises(RegistryError, match="barrier_V0_eV"):
             load_registry(self._write(tmp_path, doc))
+
+    @pytest.mark.parametrize("where, value, expected", [
+        pytest.param((), ["species"], "<file>: top level must be an object", id="top-level"),
+        pytest.param(("surfaces",), DROP, "<file>: missing top-level list 'surfaces'",
+                     id="top-level-list"),
+        pytest.param(("species", 0), ["Ne"], "<file>: species[0]: must be an object",
+                     id="species-entry"),
+        pytest.param(("surfaces", 0), "solid Ne", "<file>: surfaces[0]: must be an object",
+                     id="surface-entry"),
+        pytest.param(("surfaces", 0, "reference"), [-15.7],
+                     "<file>: surfaces[0].reference: must be an object", id="reference"),
+        pytest.param(("species", 0, "name"), DROP,
+                     "<file>: species[0]: missing required field 'name'", id="species-name"),
+        pytest.param(("surfaces", 0, "name"), DROP,
+                     "<file>: surfaces[0]: missing required field 'name'", id="surface-name"),
+        pytest.param(("surfaces", 0, "reference", "dE_K"), DROP,
+                     "<file>: surfaces[0].reference: missing required field 'dE_K'",
+                     id="reference-key"),
+        pytest.param(("surfaces", 0, "reference", "f_THz"), "fast",
+                     "<file>: surfaces[0].reference: f_THz = 'fast' is not a number",
+                     id="reference-value"),
+        pytest.param(("surfaces", 0, "density_limit_cm2"), "many",
+                     "<file>: surfaces[0]: density_limit_cm2 = 'many' is not a number",
+                     id="density-limit-type"),
+        pytest.param(("surfaces", 0, "density_limit_cm2"), -1.0,
+                     "surface 'solid Ne': density_limit_cm2 = -1 is outside (0, inf)",
+                     id="density-limit-sign"),
+    ])
+    def test_malformed_file_message(self, tmp_path, where, value, expected):
+        doc = self._minimal()
+        doc["surfaces"][0]["reference"] = {"E_z1_meV": -15.7, "E_z2_meV": -3.24,
+                                           "dE_K": 165.0, "f_THz": 3.43, "z1_nm": 1.66,
+                                           "z2_nm": 9.04}
+        if where:
+            *parents, last = where
+            target = doc
+            for key in parents:
+                target = target[key]
+            if value is DROP:
+                del target[last]
+            else:
+                target[last] = value
+        else:
+            doc = value
+        path = self._write(tmp_path, doc)
+        with pytest.raises(RegistryError) as err:
+            load_registry(path)
+        assert str(err.value).replace(str(path), "<file>") == expected
 
     def test_malformed_json_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqls import units
+from eqls import phases, units
 from eqls.phases import (
     G_MAX,
     X_PEAK,
@@ -213,6 +213,20 @@ class TestClassify:
     def test_rejects_bad_gamma0(self):
         with pytest.raises(ValueError):
             classify(1e9, 1.0, 0.0)
+
+    def test_point_derives_its_scales_once(self, monkeypatch):
+        calls = []
+        scales = phases._scales
+
+        def counted(*args):
+            calls.append(args)
+            return scales(*args)
+
+        monkeypatch.setattr(phases, "_scales", counted)
+        point = electron_gas_point(1e9, 1.0)
+        assert calls == [(1e9, 1.0)]
+        assert point.chemical_potential_ev == chemical_potential(1e9, 1.0)
+        assert point.kinetic_energy_ev == kinetic_energy(1e9, 1.0)
 
 
 class TestQuantumCriticalDensity:

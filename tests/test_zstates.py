@@ -326,10 +326,29 @@ class TestConvergenceNote:
         assert "below the grid spacing" in result.convergence.note
 
     def test_bundled_surfaces_carry_no_note(self, registry):
+        # at 1-6 levels, as `states` solves them; their largest halving change
+        # is 5.5e-4 of the energy, under the 1e-3 of the unresolved-level note
         for surface in registry.surfaces:
-            result = solve_surface(surface)
-            assert surface.scattering_length_A >= 1.2 * result.convergence.h_A
-            assert result.convergence.note == ""
+            spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
+                                    surface.scattering_length_A)
+            for levels in range(1, 7):
+                result = solve_bound_states(build_potential(spec, default_grid(spec, levels)),
+                                            levels)
+                assert surface.scattering_length_A >= 1.2 * result.convergence.h_A
+                assert result.convergence.note == "", (surface.name, levels)
+
+    def test_level_that_moves_under_halving_is_noted(self):
+        # b >= h, so the cutoff note stays silent, yet E1 moves by 1.18e-2 of
+        # itself under one halving and is 1.6% off the exact level
+        spec = RegularizedImage(v0_ev=0.5, eps_r=1.4, b_A=0.065)
+        profile = build_potential(spec)
+        result = solve_bound_states(profile, 2)
+        assert spec.b_A >= profile.grid.h_A
+        assert result.convergence.note == (
+            "the halving change exceeds 0.001 of the energy (state 1, 2), so the level "
+            "may not be resolved, and its error can reach about twice the change")
+        exact = regularized_image_levels(spec.v0_ev, spec.eps_r, spec.b_A, 1)[0]
+        assert abs(result.states[0].energy_mev - exact) > 0.01 * abs(exact)
 
     def test_interface_solve_is_noted_as_not_converged(self):
         # the pocket energy follows the half-cell cap on the 1/z pole: one
@@ -339,6 +358,7 @@ class TestConvergenceNote:
         assert result.convergence.energy_change_mev[0] > 50.0
         assert "follows the half-cell cap" in result.convergence.note
         assert "not an error estimate" in result.convergence.note
+        assert "may not be resolved" not in result.convergence.note
 
     def test_note_is_joined_to_an_earlier_one(self, monkeypatch):
         eigenpairs = zstates._eigenpairs

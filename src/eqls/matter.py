@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -24,9 +25,15 @@ class RegistryError(ValueError):
     """Raised for malformed, incomplete, or inconsistent substance data."""
 
 
+def _quoted(value) -> str:
+    """repr(value) for a message, its middle cut to keep it within 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-17:]}"
+
+
 def _check_name(name, kind: str) -> None:
     if not isinstance(name, str) or not name:
-        raise RegistryError(f"{kind} name {name!r} is not a non-empty string")
+        raise RegistryError(f"{kind} name {_quoted(name)} is not a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,8 @@ _REQUIRED_REFERENCE = ("E_z1_meV", "E_z2_meV", "dE_K", "f_THz", "z1_nm", "z2_nm"
 
 def _numbers(entry: dict, fields: tuple, where: str) -> list:
     """The values of `fields` in the JSON object `entry`, which must hold them
-    all: each a float, except a "name", which its record checks."""
+    all: each a JSON number that fits a double, as a float, except a "name",
+    which its record checks.  A boolean or a numeric string is not a number."""
     if not isinstance(entry, dict):
         raise RegistryError(f"{where}: must be an object")
     for f in fields:
@@ -156,10 +164,14 @@ def _numbers(entry: dict, fields: tuple, where: str) -> list:
             raise RegistryError(f"{where}: missing required field {f!r}")
     out = []
     for f in fields:
-        try:
-            out.append(entry[f] if f == "name" else float(entry[f]))
-        except (TypeError, ValueError, OverflowError):
-            raise RegistryError(f"{where}: {f} = {entry[f]!r} is not a number") from None
+        value = entry[f]
+        if f != "name":
+            # type() rather than isinstance(): a bool is an int
+            if not (type(value) is float
+                    or (type(value) is int and abs(value) <= sys.float_info.max)):
+                raise RegistryError(f"{where}: {f} = {_quoted(value)} is not a number")
+            value = float(value)
+        out.append(value)
     return out
 
 

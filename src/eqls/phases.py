@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .units import BOHR_CM, HARTREE_EV, HARTREE_K, NORMAL, SolverError, checked
+from .units import BOHR_CM, HARTREE_EV, HARTREE_K, NORMAL, SolverError, checked, compiled
 
 _AB2_CM2 = BOHR_CM**2          # cm^2 per Bohr-radius^2
 
@@ -102,12 +102,14 @@ def _f1(eta: float) -> float:
     misses.  Integrating the Fermi step at x = eta directly loses it between
     quadrature nodes once eta is in the thousands, also unseen by the estimate.
     """
-    # imported here so that commands which never evaluate Gamma skip loading scipy
-    from scipy.integrate import quad
-
     weight = math.exp(-abs(eta))
-    val, err = quad(lambda x: x / (math.exp(x) + weight), 0.0, 50.0,
-                    limit=200, epsabs=0.0, epsrel=1e-11)
+    # QUADPACK's qagse, as scipy's quad(f, 0, 50, limit=200, epsabs=0, epsrel=1e-11)
+    # calls it; loaded here so that commands which never evaluate Gamma skip scipy
+    val, err, ier = compiled("scipy.integrate._quadpack")._qagse(
+        lambda x: x / (math.exp(x) + weight), 0.0, 50.0, (), 0, 0.0, 1e-11, 200)
+    if ier != 0:
+        raise SolverError(f"kinetic-energy quadrature stopped with QUADPACK code {ier} "
+                          f"at eta = {eta:g}")
     val *= weight
     err *= weight
     if eta > 0.0:

@@ -27,13 +27,17 @@ converts between any two members of the energy family.
 
 `checked` is the one input check of every dataclass, public numeric entry
 point and printed result, and `SolverError` the one numerical failure.
+`compiled` loads the scipy extension a solver calls, and no more of scipy.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import sys
 from enum import Enum
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 # --- fundamental constants (SI) ---
 PLANCK_J_S = 6.62607015e-34
@@ -81,6 +85,25 @@ def checked(value, name: str, low: float = -math.inf, high: float = math.inf,
 
 class SolverError(RuntimeError):
     """A numerical method did not converge or could not certify its result."""
+
+
+def compiled(name: str):
+    """The compiled extension `name` (e.g. "scipy.linalg._flapack"), loaded
+    from its file without running its packages' `__init__` unless it is loaded
+    already.  It is registered in `sys.modules`, so a later `import scipy.linalg`
+    reuses it, but its package gets no attribute for it.  Where no file is
+    found, this is the normal import."""
+    if name not in sys.modules:
+        top, *inner, _ = name.split(".")
+        root = importlib.util.find_spec(top)
+        if root is not None and root.submodule_search_locations:
+            folder = os.path.join(root.submodule_search_locations[0], *inner)
+            spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+            if spec is not None:
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[name] = module
+    return importlib.import_module(name)
 
 
 class Unit(Enum):

@@ -63,7 +63,7 @@ from typing import IO, Union
 import numpy as np
 
 from .units import (BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, NORMAL, PLANCK_EV_S,
-                    SolverError, checked)
+                    SolverError, checked, compiled)
 
 # Stand-in for a hard wall; penetration depth at 1 MeV is ~0.002 A, far
 # below any grid spacing used here.  Also the cap on every barrier height:
@@ -333,8 +333,9 @@ def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
     than 1e-3 |T| (all bound states here) through BLAS, which ran up to 20x
     slower under a multi-threaded BLAS.
     """
-    # imported here so that commands which never solve skip loading scipy
-    from scipy.linalg.lapack import dstebz, dstein
+    # loaded here so that commands which never solve skip loading scipy
+    lapack = compiled("scipy.linalg._flapack")
+    dstebz, dstein = lapack.dstebz, lapack.dstein
 
     _, _, diag, off = _hamiltonian(grid, v_ev)
     found, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, count, 0.0, b"B")
@@ -372,7 +373,8 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
     returned, whether or not its vectors have come to rest.  Raises
     SolverError otherwise.
     """
-    from scipy.linalg.lapack import dgtsv, dstebz
+    lapack = compiled("scipy.linalg._flapack")
+    dgtsv, dstebz = lapack.dgtsv, lapack.dstebz
 
     n, m = grid.points, len(seeds_ev)
     kin, pot, diag, off = _hamiltonian(grid, v_ev)

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from eqls import matter, phases, zstates
+from eqls.units import compiled
 
 
 @pytest.fixture
@@ -22,8 +23,7 @@ def f1_calls(monkeypatch):
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """How often each of LAPACK's dgtsv, dstebz and dstein is called while the test runs."""
-    from scipy.linalg import lapack
-
+    lapack = compiled("scipy.linalg._flapack")      # the module `zstates` reads them from
     calls = Counter()
 
     def counter(name):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib.resources
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import eqls
 from eqls import phases
 from eqls.cli import main
+from eqls.units import compiled
 from eqls.zstates import MAX_GRID_POINTS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -175,11 +177,22 @@ class TestClassify:
         assert parse_csv(out)[0]["gamma"] == "9.365993e-152"
 
     def test_quadrature_failure_exits_3(self, capsys, monkeypatch):
-        # the quadrature is imported at call time, so the patched one is used
-        monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (1.0, 1e-3))
+        # the quadrature is looked up at call time, so the patched one is used
+        monkeypatch.setattr(compiled("scipy.integrate._quadpack"), "_qagse",
+                            lambda *args: (1.0, 1e-3, 0))
         code, out, err = run(capsys, "classify", "--density", "1e9", "--temperature", "1")
         assert code == 3 and out == ""
         assert err.startswith("numerical error: kinetic-energy quadrature reached")
+
+    def test_quadrature_error_code_exits_3(self, capsys, monkeypatch):
+        # QUADPACK's ier = 1 (subdivision limit) with an error estimate that looks fine
+        monkeypatch.setattr(compiled("scipy.integrate._quadpack"), "_qagse",
+                            lambda *args: (0.5, 1e-15, 1))
+        code, out, err = run(capsys, "classify", "--density", "1e9", "--temperature", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical error: kinetic-energy quadrature stopped with "
+                              "QUADPACK code 1 at eta = ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
     def test_one_kinetic_integral_per_point(self, capsys, f1_calls, fmt):
@@ -389,13 +402,45 @@ assert main(["table1"]) == 0
 assert not scipy_modules(), sorted(scipy_modules())
 assert "numpy" not in sys.modules
 assert main(["states", "--substance", "4He"]) == 0
-assert "numpy" in sys.modules and "scipy.linalg" in sys.modules
+assert "numpy" in sys.modules and "scipy.linalg._flapack" in sys.modules
+assert "scipy.linalg" not in sys.modules
 assert not {"scipy.integrate", "scipy.optimize"} & scipy_modules(), sorted(scipy_modules())
+assert main(["classify", "--density", "1e9", "--temperature", "1"]) == 0
+assert "scipy.integrate._quadpack" in sys.modules
+heavy = {"scipy.linalg", "scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse"}
+assert not heavy & scipy_modules(), sorted(scipy_modules())
 """
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(Path(eqls.__file__).parents[1])})
         assert proc.returncode == 0, proc.stderr
+
+    def test_extension_route_matches_the_package_route(self, tmp_path):
+        # a fresh process loads scipy's LAPACK and QUADPACK extensions from their
+        # files; one that imported scipy.linalg and scipy.integrate first reuses theirs
+        script = """
+import sys
+route, dump = sys.argv[1:]
+if route == "package":
+    import scipy.integrate, scipy.linalg
+from eqls.cli import main
+for argv in (["table2", "--format", "json", "--residuals"],
+             ["states", "--substance", "4He", "--levels", "6", "--dump-psi", dump],
+             ["classify", "--density", "1e9", "--temperature", "1"],
+             ["phase-diagram", "--gamma0", "127", "--format", "csv"]):
+    assert main(argv) == 0, argv
+assert ("scipy.linalg" in sys.modules) == (route == "package")
+"""
+        outputs = {}
+        for route in ("file", "package"):
+            dump = tmp_path / route
+            proc = subprocess.run(
+                [sys.executable, "-c", script, route, str(dump)], capture_output=True,
+                env={**os.environ, "PYTHONPATH": str(Path(eqls.__file__).parents[1])})
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs[route] = proc.stdout, {f.name: f.read_bytes() for f in dump.iterdir()}
+        assert len(outputs["file"][1]) == 6
+        assert outputs["file"] == outputs["package"]
 
 
 class TestInputContract:
@@ -506,3 +551,63 @@ def test_every_argv_exits_cleanly_with_finite_output(argv):
         assert not re.search(r"\b(nan|inf|infinity)\b", out.getvalue(), re.I), argv
     else:
         assert out.getvalue() == "", argv
+
+
+BUNDLED = json.loads(
+    importlib.resources.files("eqls.data").joinpath("substances.json").read_text("utf-8"))
+# (list, keys of each entry, keys of each surface's reference)
+REGISTRY_FIELDS = [
+    ("species", ("name", "mass_amu", "sigma_A", "epsilon_K"), ()),
+    ("surfaces", ("name", "number_density_A3", "scattering_length_A", "dielectric_constant",
+                  "barrier_V0_eV", "reference", "density_limit_cm2"),
+     ("E_z1_meV", "E_z2_meV", "dE_K", "f_THz", "z1_nm", "z2_nm")),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
+
+
+@st.composite
+def registry_edits(draw):
+    """(list, index, key path, value): one field of the bundled registry set to any JSON."""
+    kind, keys, reference_keys = draw(st.sampled_from(REGISTRY_FIELDS))
+    index = draw(st.integers(0, len(BUNDLED[kind]) - 1))
+    key = draw(st.sampled_from(keys + tuple(f"reference.{k}" for k in reference_keys)))
+    return kind, index, key.split("."), draw(JSON_VALUES)
+
+
+def reject_constant(token):
+    raise AssertionError(f"non-finite number {token} in the output")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(edit=registry_edits())
+def test_every_registry_value_loads_or_is_refused_in_one_line(tmp_path_factory, edit):
+    kind, index, path, value = edit
+    doc = json.loads(json.dumps(BUNDLED))
+    *parents, key = path
+    target = doc[kind][index]
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    file = tmp_path_factory.mktemp("registry") / "substances.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["table1" if kind == "species" else "table2", "--substances", str(file),
+            "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    message = err.getvalue().replace(str(file), "<file>")
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+    else:
+        assert code == 2 and out.getvalue() == "", (edit, message)
+        assert message.startswith("error: ") and message.count("\n") == 1, (edit, message)
+        assert len(message) <= 160, (edit, message)
+    # a number field holds a JSON number: no boolean, string, null, list or object
+    optional = key in ("reference", "density_limit_cm2") and value is None
+    if key not in ("name", "reference") and not optional and type(value) not in (int, float):
+        assert code == 2 and "is not a number" in message, (edit, message)
+    if key == "name" and not isinstance(value, str):
+        assert code == 2 and "is not a non-empty string" in message, (edit, message)

@@ -145,6 +145,17 @@ class TestRegistry:
         pytest.param(("surfaces", 0, "density_limit_cm2"), -1.0,
                      "surface 'solid Ne': density_limit_cm2 = -1 is outside (0, inf)",
                      id="density-limit-sign"),
+        pytest.param(("species", 0, "mass_amu"), True,
+                     "<file>: species[0]: mass_amu = True is not a number", id="bool-value"),
+        pytest.param(("surfaces", 0, "barrier_V0_eV"), "1.5",
+                     "<file>: surfaces[0]: barrier_V0_eV = '1.5' is not a number",
+                     id="numeric-string-value"),
+        pytest.param(("species", 0, "mass_amu"), 10**400,
+                     "<file>: species[0]: mass_amu = 10000000000000000000...00000000000000000 "
+                     "is not a number", id="huge-int-value"),
+        pytest.param(("species", 0, "name"), 10**400,
+                     "species name 10000000000000000000...00000000000000000 "
+                     "is not a non-empty string", id="huge-int-name"),
     ])
     def test_malformed_file_message(self, tmp_path, where, value, expected):
         doc = self._minimal()

@@ -196,11 +196,12 @@ def _cmd_states(args) -> int:
     reg = load_registry(args.substances)
     sf = reg.get_surface(args.substance)
     spec = _surface_spec(sf, args, args.field)
-    grid = zstates.default_grid(spec, levels=args.levels)
-    if args.grid_h is not None or args.grid_zmax is not None:
-        grid = zstates.surface_grid(
-            -20.0, grid.z_max_A if args.grid_zmax is None else args.grid_zmax,
-            grid.h_A if args.grid_h is None else args.grid_h)
+    if args.grid_h is None:
+        grid = zstates.default_grid(spec, args.levels, args.grid_zmax)
+    else:                               # a uniform grid at that spacing
+        z_max = (zstates.default_grid(spec, args.levels).z_max_A if args.grid_zmax is None
+                 else args.grid_zmax)
+        grid = zstates.surface_grid(-20.0, z_max, args.grid_h)
     result = zstates.solve_bound_states(zstates.build_potential(spec, grid), args.levels)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vertical pressing field in V/m (positive presses)")
     p.add_argument("--b", type=finite, help="override the image cutoff b in A")
     p.add_argument("--v0", type=finite, help="override the barrier height V0 in eV")
-    p.add_argument("--grid-h", type=finite, help="grid spacing in A")
+    p.add_argument("--grid-h", type=finite, help="uniform grid spacing in A")
     p.add_argument("--grid-zmax", type=finite, help="grid extent above the surface in A")
     p.add_argument("--dump-psi", metavar="DIR",
                    help="write one two-column wavefunction file per state")

@@ -48,7 +48,7 @@ class ParticleSpecies:
     def __post_init__(self):
         _check_name(self.name, "species")
         for field in ("mass_amu", "sigma_A", "epsilon_K"):
-            checked(getattr(self, field), f"species {self.name!r}: {field} = {{}}", 0.0,
+            checked(getattr(self, field), f"species {_quoted(self.name)}: {field} = {{}}", 0.0,
                     ends="(]", error=RegistryError)
 
 
@@ -80,7 +80,7 @@ class SubstanceSurface:
         _check_name(self.name, "surface")
 
         def inside(value, field, low=0.0, high=math.inf, ends="(]"):
-            checked(value, f"surface {self.name!r}: {field} = {{}}", low, high, ends,
+            checked(value, f"surface {_quoted(self.name)}: {field} = {{}}", low, high, ends,
                     RegistryError)
 
         inside(self.number_density_A3, "number_density_A3")
@@ -217,4 +217,6 @@ def load_registry(path: str | Path | None = None) -> SubstanceRegistry:
         raise RegistryError(
             f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:       # an integer longer than Python converts (4300 digits)
+        raise RegistryError(f"{origin}: unreadable JSON number: {exc}") from exc
     return _parse(doc, origin)

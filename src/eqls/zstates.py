@@ -10,8 +10,12 @@ module builds sampled potential profiles for three variants
   * Interface          solid barrier below, liquid barrier above:
                        -(eps-1)/(eps+1) e^2/4z + V_above tanh^2(z/zeta)
 
-and solves -hbar^2/(2 m_e) psi'' + V psi = E psi on a uniform grid with
-Dirichlet ends, using second-order centered differences.  Sturm-sequence
+and solves -hbar^2/(2 m_e) psi'' + V psi = E psi on a grid with Dirichlet
+ends, using the three-point variable-spacing difference operator, made a
+symmetric tridiagonal by the node weights (`_hamiltonian`).  Grids are
+uniform in a coordinate s and mapped to z by a smooth odd map (GridSpec):
+the default RegularizedImage grid is fine at the surface and coarse in the
+image tail, the other grids are uniform.  Sturm-sequence
 bisection plus inverse iteration (LAPACK dstebz, then dstein once per
 level) finds the lowest eigenpairs of the tridiagonal Hamiltonian on one
 grid per spectrum: the coarsest of a cascade of grids, each 4x coarser
@@ -45,8 +49,10 @@ is either certified to that accuracy or computed by bisection.
 
 Default grids place z = 0 exactly midway between two nodes.  With the
 potential step between nodes, every grid cell lies on a single branch of
-the piecewise potential and the eigenvalue error stays O(h^2); a node
-sitting on the step would degrade this to O(h).
+the piecewise potential and, since the map is smooth, the eigenvalue error
+stays O(h^2) in the step h of s; a node sitting on the step would degrade
+this to O(h).  So a reported RegularizedImage level is the Richardson value
+from the grid and its halving (`solve_bound_states`).
 
 An optional vertical pressing field E_perp adds +e*E_perp*z for z > 0
 only; the barrier branch stays flat (the field inside the dielectric is
@@ -78,11 +84,11 @@ MAX_FIELD_V_PER_M = INFINITE_BARRIER_EV * 1e10
 # Largest grid any solve may build, checked before anything is allocated.
 # Memory grows as points x levels.  The convergence report's halving doubles
 # the points, so a reported solve takes base grids up to half of this: the
-# default grids of up to 27 levels (40 without a report).
+# hard wall's default grids of up to 27 levels (40 without a report).
 MAX_GRID_POINTS = 1 << 20
 
 # Largest points x count block of eigenvectors a solve may allocate (128 MB);
-# the default grids of up to 27 levels stay below it.
+# the graded default grids of up to 37 levels stay below it.
 MAX_EIGENVECTOR_BLOCK = 1 << 24
 
 # A solve seeds itself from the grid 4x coarser while that grid keeps at least
@@ -92,16 +98,34 @@ MAX_EIGENVECTOR_BLOCK = 1 << 24
 _COARSE_POINTS_PER_LEVEL = 64
 
 # Linear solves per level before `_refine` gives up, and the move of the unit
-# vector at which it stops.  The benchmark's spectra take about 3 per level to
-# bring a vector to rest; where only the energies must certify, 1.1 on the
-# halved grid and 2.4 on a cascade's coarser grids.
+# vector at which it stops.  The benchmark's refines take 2.2 per level on
+# average (the vectors kept, the halved grids' and the cascades' together).
 _MAX_REFINE_SOLVES = 6
 _REFINE_STEP = 1e-9
 
 # A level that moves by more than this fraction of itself under one grid halving
 # may not be resolved, and its convergence report says so (the bundled surfaces
-# reach 5.5e-4; an unresolved E1 that is 1.6% off reaches 1.2e-2).
+# reach 4.0e-5 on their default grids; an E1 that is 1.6% off on a uniform grid
+# at (a_B/Z)/200 reaches 1.2e-2).
 _UNRESOLVED_CHANGE = 1e-3
+
+# Default graded grids (`default_grid`): the step at the surface is
+# min(b, a_B/Z)/_SURFACE_CELLS, the tail spacing (a_B/Z)/_TAIL_CELLS, and the
+# spacing grows from one to the other over about _BEND_LENGTHS * a_B/Z.  No step
+# is finer than _MIN_STEP_A, the decay length under the highest barrier allowed
+# (0.002 A): bisection's accuracy 4 eps |T| grows as 1/step^2, and a cutoff b
+# below it gets the convergence report's b < h note instead.
+_SURFACE_CELLS = 16.0
+_TAIL_CELLS = 100.0
+_BEND_LENGTHS = 4.0
+_MIN_STEP_A = BOHR_ANGSTROM / math.sqrt(2.0 * INFINITE_BARRIER_EV / HARTREE_EV)
+
+# The finest digit of psi that `write_wavefunction` prints, relative to its
+# largest value: the eigenvector's rounding noise reaches 1.0e-10 of it (every
+# bundled surface at 1-6 levels and 150 random spectra, across bisection, the
+# cascade and Stark seeds), and a coarser digit would move sum(psi^2 w) by more
+# than 1e-8.
+_DUMP_RESOLUTION = 1e-8
 
 # Outer/inner fractions of the domain used to detect box-artifact states.
 _EDGE_FRACTION = 0.1
@@ -167,43 +191,101 @@ PotentialSpec = Union[RegularizedImage, InfiniteBarrierImage, Interface]
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid straddling the surface: z_min < 0 < z_max."""
+    """`points` nodes z(s) at equally spaced s from s_min < 0 to s_max > 0.
 
-    z_min_A: float
-    z_max_A: float
+    The map z(s) = s + (ratio - 1)(s - bend tanh(s/bend)) is odd and smooth:
+    its slope rises from 1 at s = 0 to `ratio` for |s| >> bend, so the node
+    spacing grows from the step h_A at the surface to about ratio * h_A in the
+    tail.  ratio = 1 (the default) is the uniform grid z = s.
+    """
+
+    s_min_A: float
+    s_max_A: float
     points: int
+    ratio: float = 1.0
+    bend_A: float = 1.0
 
     def __post_init__(self):
-        checked(self.z_min_A, "grid z_min = {} A", high=0.0, ends="[)")
-        checked(self.z_max_A, "grid z_max = {} A", 0.0, ends="(]")
+        checked(self.s_min_A, "grid s_min = {} A", high=0.0, ends="[)")
+        checked(self.s_max_A, "grid s_max = {} A", 0.0, ends="(]")
         checked(self.points, "grid of {} points", 3, MAX_GRID_POINTS)
         checked(self.h_A, "grid spacing {} A", 0.0, ends="(]")
-        h_au = self.h_A / BOHR_ANGSTROM
+        h_au = self.h_A / BOHR_ANGSTROM       # every node spacing is at least h
         checked(0.5 / h_au / h_au, f"the kinetic term of grid spacing {self.h_A:g} A", NORMAL)
+        checked(self.ratio, "grid spacing ratio {}", 1.0)
+        checked(self.bend_A, "grid bend {} A", 0.0, ends="(]")
+        checked(self.z_max_A - self.z_min_A, "grid extent {} A", 0.0, ends="(]")
 
     @property
     def h_A(self) -> float:
-        return (self.z_max_A - self.z_min_A) / (self.points - 1)
+        """The step in s, which is the node spacing at the surface."""
+        return (self.s_max_A - self.s_min_A) / (self.points - 1)
+
+    @property
+    def z_min_A(self) -> float:
+        return float(self._mapped(self.s_min_A))
+
+    @property
+    def z_max_A(self) -> float:
+        return float(self._mapped(self.s_max_A))
+
+    def _mapped(self, s):
+        return s + (self.ratio - 1.0) * (s - self.bend_A * np.tanh(s / self.bend_A))
+
+    def _cells(self):
+        """Nodes, the spacings of the n + 1 cells (a ghost node beyond each end)
+        and the weights w_i = (h_{i-1} + h_i)/2, all in A: built on the first
+        call, then shared read-only."""
+        cells = self.__dict__.get("_cells_A")
+        if cells is None:
+            z = self._mapped(self.s_min_A + self.h_A * np.arange(-1, self.points + 1))
+            h = np.diff(z)
+            cells = z[1:-1], h, 0.5 * (h[:-1] + h[1:])
+            for a in cells:
+                a.flags.writeable = False
+            object.__setattr__(self, "_cells_A", cells)
+        return cells
 
     def nodes(self) -> np.ndarray:
         """The node positions in A: built on the first call, then shared read-only."""
-        z = self.__dict__.get("_nodes")
-        if z is None:
-            z = self.z_min_A + self.h_A * np.arange(self.points)
-            z.flags.writeable = False
-            object.__setattr__(self, "_nodes", z)
-        return z
+        return self._cells()[0]
+
+    def weights(self) -> np.ndarray:
+        """Each node's share of the line, (h_{i-1} + h_i)/2 in A: sum(psi^2 w) = 1."""
+        return self._cells()[2]
 
 
-def surface_grid(z_min_A: float, z_max_A: float, h_A: float) -> GridSpec:
-    """Grid with spacing ~h covering [z_min, z_max], z=0 midway between nodes."""
+def _lattice(s_min_A: float, s_max_A: float, h_A: float, ratio: float = 1.0,
+             bend_A: float = 1.0) -> GridSpec:
+    """Step h covering [s_min, s_max] in s, with s = 0 (so z = 0) midway between nodes."""
+    checked(h_A, "grid spacing {} A", 0.0, ends="(]")
+    checked((s_max_A - s_min_A) / h_A, "grid of {} cells", 0.0, MAX_GRID_POINTS)
+    m = int(math.ceil(-s_min_A / h_A - 0.5))
+    p = int(math.ceil(s_max_A / h_A + 0.5))
+    return GridSpec(-(m + 0.5) * h_A, (p - 0.5) * h_A, m + p + 1, ratio, bend_A)
+
+
+def _unmapped(z_A: float, ratio: float, bend_A: float) -> float:
+    """The s >= 0 with z(s) = z >= 0 (see GridSpec), by Newton's method: z(s)
+    is convex there and z(s) >= s, so from s = z the iterates fall to the root."""
+    s = z_A
+    while ratio != 1.0:
+        t = math.tanh(s / bend_A)
+        step = (s + (ratio - 1.0) * (s - bend_A * t) - z_A) / (1.0 + (ratio - 1.0) * t * t)
+        if not s - step < s:
+            break
+        s -= step
+    return s
+
+
+def surface_grid(z_min_A: float, z_max_A: float, h_A: float, ratio: float = 1.0,
+                 bend_A: float = 1.0) -> GridSpec:
+    """Grid covering [z_min, z_max] with z = 0 midway between two nodes: step h
+    in s under the map (ratio, bend) of GridSpec, by default uniform spacing h."""
     checked(z_min_A, "grid z_min = {} A", high=0.0, ends="[)")
     checked(z_max_A, "grid z_max = {} A", 0.0, ends="(]")
-    checked(h_A, "grid spacing {} A", 0.0, ends="(]")
-    checked((z_max_A - z_min_A) / h_A, "grid of {} cells", 0.0, MAX_GRID_POINTS)
-    m = int(math.ceil(-z_min_A / h_A - 0.5))
-    p = int(math.ceil(z_max_A / h_A + 0.5))
-    return GridSpec(-(m + 0.5) * h_A, (p - 0.5) * h_A, m + p + 1)
+    return _lattice(-_unmapped(-z_min_A, ratio, bend_A), _unmapped(z_max_A, ratio, bend_A),
+                    h_A, ratio, bend_A)
 
 
 def hydrogenic_charge(eps_r: float) -> float:
@@ -220,20 +302,30 @@ def hydrogenic_levels(eps_r: float, n_max: int) -> np.ndarray:
     return -(z * z) / (2.0 * n * n) * HARTREE_EV * 1e3
 
 
-def default_grid(spec: PotentialSpec, levels: int = 2) -> GridSpec:
+def default_grid(spec: PotentialSpec, levels: int = 2, z_max_A: float | None = None) -> GridSpec:
     """Grid sized from the hydrogenic length a_B/Z of the image tail.
 
     z_min = -20 A (several barrier decay lengths), z_max = 20 x the
-    hydrogenic ground-state height, extended for levels > 2, and spacing
-    h = (a_B/Z)/200.  The Interface variant has no Rydberg tail; it gets
-    a fixed fine grid resolving the zeta-scale structure instead.
+    hydrogenic ground-state height, extended for levels > 2 (or `z_max_A`).
+    A RegularizedImage gets a graded grid (GridSpec): step
+    h0 = min(b, a_B/Z)/16 at the surface, at least _MIN_STEP_A, growing to
+    h_max = (a_B/Z)/100 over about 4 a_B/Z, or a uniform one at h_max where
+    h0 would not be finer.  The hard wall keeps the uniform spacing
+    (a_B/Z)/200.  The Interface variant has no Rydberg tail; it gets a fixed
+    fine grid resolving the zeta-scale structure instead.
     """
     if isinstance(spec, Interface):
         return surface_grid(-20.0, 50.0, spec.zeta_A / 100.0)
     checked(levels, "{} levels", 1, MAX_GRID_POINTS)
     scale = BOHR_ANGSTROM / hydrogenic_charge(spec.eps_r)
-    z_max = scale * max(30.0, 3.0 * levels**2 + 10.0 * levels)
-    return surface_grid(-20.0, z_max, scale / 200.0)
+    if z_max_A is None:
+        z_max_A = scale * max(30.0, 3.0 * levels**2 + 10.0 * levels)
+    if isinstance(spec, InfiniteBarrierImage):
+        return surface_grid(-20.0, z_max_A, scale / 200.0)
+    h_max = scale / _TAIL_CELLS
+    h0 = min(max(min(spec.b_A, scale) / _SURFACE_CELLS, _MIN_STEP_A), h_max)
+    ratio = h_max / h0
+    return surface_grid(-20.0, z_max_A, h0, ratio, _BEND_LENGTHS * scale / ratio)
 
 
 @dataclass(frozen=True)
@@ -283,7 +375,7 @@ def build_potential(spec: PotentialSpec, grid: GridSpec | None = None) -> Potent
 
 @dataclass(frozen=True)
 class BoundState:
-    """Normalized bound eigenstate: sum |psi|^2 h = 1 with psi in A^-1/2."""
+    """Normalized bound eigenstate: sum psi^2 w = 1 (`GridSpec.weights`), psi in A^-1/2."""
 
     energy_mev: float
     z_A: np.ndarray
@@ -294,7 +386,9 @@ class BoundState:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Ground-truth guard: energy change per state under one grid halving."""
+    """Ground-truth guard: energy change per state under one grid halving.
+
+    h_A and refined_h_A are the steps of the two grids (GridSpec.h_A)."""
 
     h_A: float
     refined_h_A: float
@@ -318,15 +412,25 @@ def _count_nodes(psi: np.ndarray) -> int:
 
 
 def _hamiltonian(grid: GridSpec, v_ev: np.ndarray):
-    """kin = hbar^2/(2 m_e h^2), the potential, and the diagonal and
-    off-diagonal of the finite-difference Hamiltonian, all in Hartree."""
-    kin = 0.5 / (grid.h_A / BOHR_ANGSTROM) ** 2      # a normal double: see GridSpec
+    """The finite-difference Hamiltonian, in Hartree with lengths in A.
+
+    Returns the couplings c = hbar^2/(2 m_e h) of the n + 1 cells, sqrt(w) at
+    the nodes, the potential, and the diagonal and off-diagonal of the
+    symmetric tridiagonal W^-1/2 K W^-1/2, where
+    (K psi)_i = c_{i-1} (psi_i - psi_{i-1}) - c_i (psi_{i+1} - psi_i) + V_i w_i psi_i
+    with psi = 0 beyond both ends: the three-point variable-spacing operator,
+    which on a uniform grid is the centred difference.  Its eigenvectors are
+    phi = W^1/2 psi, unit vectors where sum psi^2 w = 1.
+    """
+    _, h, w = grid._cells()
+    c = 0.5 * BOHR_ANGSTROM**2 / h      # c/w <= 1/h^2 in Hartree: normal, see GridSpec
+    root = np.sqrt(w)
     pot = v_ev / HARTREE_EV
-    return kin, pot, 2.0 * kin + pot, np.full(grid.points - 1, -kin)
+    return c, root, pot, (c[:-1] + c[1:]) / w + pot, -c[1:-1] / (root[:-1] * root[1:])
 
 
 def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
-    """Lowest `count` eigenpairs in (eV, psi with sum psi^2 h = 1).
+    """Lowest `count` eigenpairs in (eV, psi with sum psi^2 w = 1).
 
     Bisection (stebz) for the energies, then inverse iteration (stein) one
     energy per call: given several, stein reorthogonalizes every pair closer
@@ -337,7 +441,7 @@ def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
     lapack = compiled("scipy.linalg._flapack")
     dstebz, dstein = lapack.dstebz, lapack.dstein
 
-    _, _, diag, off = _hamiltonian(grid, v_ev)
+    _, root, _, diag, off = _hamiltonian(grid, v_ev)
     found, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, count, 0.0, b"B")
     if info != 0 or found != count:
         raise SolverError(f"bisection found {found} of states 0..{count - 1} (info {info})")
@@ -350,44 +454,47 @@ def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
         if info != 0:
             raise SolverError(f"inverse iteration failed for state {k} (info {info})")
         vecs[:, k] = col[:, 0]
-    return w[order] * HARTREE_EV, vecs / math.sqrt(grid.h_A)
+    return w[order] * HARTREE_EV, vecs / root[:, None]
 
 
 def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
             start_vecs: np.ndarray, energies_only: bool = False):
     """Lowest `len(seeds_ev)` eigenpairs near the seed energies, certified.
 
-    Same (eV, psi with sum psi^2 h = 1) form as `_eigensolve`.  Column k
+    Same (eV, psi with sum psi^2 w = 1) form as `_eigensolve`.  Column k
     of `start_vecs`, sampled at `start_z`, is interpolated onto the grid
     (taken as it is if `start_z` are the grid's nodes) and run through
     Rayleigh-quotient iteration (gtsv), one solve per level and sweep: the
     first shift is seed k, each later one the Rayleigh quotient, until the
-    unit vector moves by at most _REFINE_STEP, in at most
-    _MAX_REFINE_SOLVES sweeps.  Rayleigh quotient and residual use
-    differences of psi, so the 1/h^2 diagonal never cancels.  The pairs are
-    certified as the lowest ones to within the bisection accuracy
-    acc = 4 eps |T|_1: every interval rho_k +- r_k holds an eigenvalue, the
-    intervals are disjoint, each r^2/gap is at most acc, and one Sturm
-    count (stebz) finds exactly m eigenvalues below rho_top + g.  With
-    `energies_only`, every sweep is certified and the first that passes is
-    returned, whether or not its vectors have come to rest.  Raises
+    unit vector phi = W^1/2 psi moves by at most _REFINE_STEP, in at most
+    _MAX_REFINE_SOLVES sweeps.  Rayleigh quotient and residual use the
+    fluxes c_i (psi_{i+1} - psi_i), so the 1/h^2 diagonal never cancels.
+    The pairs are certified as the lowest ones to within the bisection
+    accuracy acc = 4 eps |T|_1: every interval rho_k +- r_k holds an
+    eigenvalue, the intervals are disjoint, each r^2/gap is at most acc, and
+    one Sturm count (stebz) finds exactly m eigenvalues below rho_top + g.
+    With `energies_only`, every sweep is certified and the first that passes
+    is returned, whether or not its vectors have come to rest.  Raises
     SolverError otherwise.
     """
     lapack = compiled("scipy.linalg._flapack")
     dgtsv, dstebz = lapack.dgtsv, lapack.dstebz
 
     n, m = grid.points, len(seeds_ev)
-    kin, pot, diag, off = _hamiltonian(grid, v_ev)
-    acc = 4.0 * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * kin)
+    c, root, pot, diag, off = _hamiltonian(grid, v_ev)
+    rows = np.abs(diag)
+    rows[1:] -= off
+    rows[:-1] -= off
+    acc = 4.0 * np.finfo(float).eps * float(np.max(rows))
+    scale = 1.0 / root
     z = grid.nodes()
-    dpsi = np.empty(n + 1)          # differences of psi, which is 0 beyond both ends
+    flux = np.empty(n + 1)          # c (psi_{i+1} - psi_i), with psi 0 beyond both ends
 
-    def quotient(psi):
-        """Rayleigh quotient of a unit vector; leaves its differences in dpsi."""
-        np.subtract(psi[1:], psi[:-1], out=dpsi[1:-1])
-        dpsi[0] = psi[0]
-        dpsi[-1] = -psi[-1]
-        return kin * float(dpsi @ dpsi) + float((pot * psi) @ psi)
+    def quotient(phi):
+        """Rayleigh quotient of a unit vector; leaves its fluxes in `flux`."""
+        dpsi = np.diff(phi * scale, prepend=0.0, append=0.0)
+        np.multiply(c, dpsi, out=flux)
+        return float(flux @ dpsi) + float((pot * phi) @ phi)
 
     def norm(x):
         return math.sqrt(float(x @ x))
@@ -413,7 +520,7 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
         if np.any(r * r > acc * gap):
             return (f"refined levels are not separated enough to certify "
                     f"(worst r^2/gap {float(np.max(r * r / gap)):.3g} Ha, allowed {acc:.3g})")
-        bottom = float(np.min(pot)) - 1.0      # below min(V), the Gershgorin bound
+        bottom = float(np.min(pot)) - 1.0      # below min(V), which bounds every level
         found, *_, info = dstebz(diag, off, 1, bottom, top, 0, 0, 2.0 * (top - bottom), b"B")
         if info != 0 or found != m:
             return f"Sturm count below the top refined level is {found}, not {m}"
@@ -426,31 +533,31 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
     sampled = np.array_equal(start_z, z)       # e.g. the previous Stark field's state
     for k in range(m):
         col = start_vecs[:, k]
-        vecs[:, k] = unit(col if sampled else np.interp(z, start_z, col), k)
+        vecs[:, k] = unit((col if sampled else np.interp(z, start_z, col)) * root, k)
     moving = list(range(m))
     for _ in range(_MAX_REFINE_SOLVES):
         for k in list(moving):
-            psi = vecs[:, k]
-            *_, col, info = dgtsv(off, diag - shift[k], off, psi, overwrite_d=1)
+            phi = vecs[:, k]
+            *_, col, info = dgtsv(off, diag - shift[k], off, phi, overwrite_d=1)
             if info != 0:
                 raise SolverError(f"Rayleigh-quotient solve for state {k} failed (info {info})")
             col = unit(col, k)
-            if col @ psi < 0.0:
+            if col @ phi < 0.0:
                 col = -col
-            step = norm(col - psi)
-            psi[:] = col
-            rho[k] = shift[k] = quotient(psi)
+            step = norm(col - phi)
+            phi[:] = col
+            rho[k] = shift[k] = quotient(phi)
             if step <= _REFINE_STEP:
                 moving.remove(k)
             elif not energies_only:
                 continue        # a vector still moving is not certified yet
             # the residual, plus a rounding allowance for evaluating it
-            r[k] = norm((pot - rho[k]) * psi - kin * np.diff(dpsi)) + acc
+            r[k] = norm((pot - rho[k]) * phi - np.diff(flux) * scale) + acc
         if moving and not energies_only:
             continue
         failure = uncertified()
         if failure is None:
-            vecs /= math.sqrt(grid.h_A)
+            vecs /= root[:, None]
             return rho * HARTREE_EV, vecs
         if not moving:
             raise SolverError(failure)
@@ -462,7 +569,7 @@ def _eigenpairs(spec: PotentialSpec, grid: GridSpec, v_ev: np.ndarray, count: in
                 start=None, energies_only: bool = False):
     """Lowest `count` eigenpairs of `v_ev`, which samples `spec` on `grid`.
 
-    Same (eV, psi with sum psi^2 h = 1) form as `_eigensolve`, from the
+    Same (eV, psi with sum psi^2 w = 1) form as `_eigensolve`, from the
     first step of this ladder that returns:
       1. `_refine` from `start`, eigenpairs in hand (energies in eV, nodes,
          one vector column per state), if given;
@@ -481,7 +588,7 @@ def _eigenpairs(spec: PotentialSpec, grid: GridSpec, v_ev: np.ndarray, count: in
         except SolverError:
             pass        # solve outside the handler, so the traceback frees _refine's arrays
     if grid.points >= 4 * _COARSE_POINTS_PER_LEVEL * count:
-        coarse = surface_grid(grid.z_min_A, grid.z_max_A, 4.0 * grid.h_A)
+        coarse = _rescaled(grid, 4.0)
         seeds, vecs = _eigenpairs(spec, coarse, build_potential(spec, coarse).samples_ev,
                                   count, energies_only=True)
         try:
@@ -500,21 +607,24 @@ def _is_bound(grid: GridSpec, v_ev: np.ndarray, e_ev: float, psi: np.ndarray) ->
     """Below the potential ceiling at the far wall, and not leaning on a wall."""
     if e_ev >= v_ev[-1]:
         return False
-    n = grid.points
-    h = grid.h_A
-    z = grid.nodes()
-    right = int(max(2, round(_EDGE_FRACTION * n)))
-    if float(np.sum(psi[-right:] ** 2) * h) > _EDGE_MASS_TOL:
+    mass = psi**2 * grid.weights()
+    right = int(max(2, round(_EDGE_FRACTION * grid.points)))
+    if float(np.sum(mass[-right:])) > _EDGE_MASS_TOL:
         return False
-    left = z < grid.z_min_A * (1.0 - _EDGE_FRACTION)
-    if float(np.sum(psi[left] ** 2) * h) > _EDGE_MASS_TOL:
+    left = grid.nodes() < grid.z_min_A * (1.0 - _EDGE_FRACTION)
+    if float(np.sum(mass[left])) > _EDGE_MASS_TOL:
         return False
     return True
 
 
+def _rescaled(grid: GridSpec, factor: float) -> GridSpec:
+    """The same map over the same extent with the step times `factor` (z = 0
+    still midway between nodes): the halved grid and each coarser one."""
+    return _lattice(grid.s_min_A, grid.s_max_A, factor * grid.h_A, grid.ratio, grid.bend_A)
+
+
 def _halved(grid: GridSpec) -> GridSpec:
-    """Half the spacing over the same extent (z = 0 still midway between nodes)."""
-    return surface_grid(grid.z_min_A, grid.z_max_A, grid.h_A / 2.0)
+    return _rescaled(grid, 0.5)
 
 
 def solve_bound_states(profile: PotentialProfile, count: int,
@@ -527,7 +637,11 @@ def solve_bound_states(profile: PotentialProfile, count: int,
     with negligible weight on either grid wall; eigenstates that fail
     (box artifacts of the finite domain) are dropped and reported via
     `shortfall`.  A convergence report from one grid halving is attached
-    unless `report_convergence` is false.  Both grids are solved by
+    unless `report_convergence` is false.  With the report, a
+    RegularizedImage level is the Richardson value E(h) - (4/3) dE, with dE
+    = E(h) - E(h/2) the report's change: the error is O(h^2), so this drops
+    its leading term at no extra solve.  Other levels, and psi, nodes and
+    <z> always, are those of the grid given.  Both grids are solved by
     `_eigenpairs`: the base grid from `_seed` if given (private: a nearby
     solve's energies in eV, nodes and vector columns, as `stark_scan`
     passes), the halved grid from the base eigenpairs, stopping as soon as
@@ -540,7 +654,8 @@ def solve_bound_states(profile: PotentialProfile, count: int,
     energies, vecs = _eigenpairs(profile.source, profile.grid, profile.samples_ev, count,
                                  _seed)
     z = profile.grid.nodes()
-    states = []
+    weights = profile.grid.weights()
+    kept = []
     warnings = list(profile.warnings)
     for k in range(count):
         psi = vecs[:, k]
@@ -551,29 +666,27 @@ def solve_bound_states(profile: PotentialProfile, count: int,
         nodes = _count_nodes(psi)
         if nodes != k:
             warnings.append(f"state {k}: found {nodes} nodes, expected {k}")
-        h = profile.grid.h_A
-        zbar = float(np.sum(z * psi**2) * h) / 10.0
-        states.append(BoundState(float(energies[k]) * 1e3, z, psi, nodes, zbar))
+        zbar = float(np.sum(z * psi**2 * weights)) / 10.0
+        kept.append([float(energies[k]) * 1e3, psi, nodes, zbar])
     report = None
     if fine is not None:
         notes = []
         change = ()
         source = profile.source
         try:
-            seeded = max(1, len(states))
+            seeded = max(1, len(kept))
             fine_e, _ = _eigenpairs(source, fine, build_potential(source, fine).samples_ev,
                                     seeded, (energies[:seeded], z, vecs[:, :seeded]),
                                     energies_only=True)
-            change = tuple((states[k].energy_mev - float(fine_e[k]) * 1e3)
-                           for k in range(len(states)))
+            change = tuple((e - float(fine_e[k]) * 1e3) for k, (e, *_) in enumerate(kept))
         except SolverError:
             notes.append("refined solve failed")
         if isinstance(source, RegularizedImage) and source.b_A < profile.grid.h_A:
             notes.append(f"cutoff b = {source.b_A:.3g} A is below the grid spacing "
-                         f"h = {profile.grid.h_A:.3g} A, so the halving change "
-                         f"under-reports the error")
+                         f"h = {profile.grid.h_A:.3g} A at the surface, so the halving "
+                         f"change under-reports the error")
         unresolved = [str(k + 1) for k, d in enumerate(change)
-                      if abs(d) > _UNRESOLVED_CHANGE * abs(states[k].energy_mev)]
+                      if abs(d) > _UNRESOLVED_CHANGE * abs(kept[k][0])]
         if isinstance(source, Interface):
             notes.append("the interface energy follows the half-cell cap on the 1/z pole "
                          "and falls by about 0.1 eV per halving, so the halving change "
@@ -582,9 +695,12 @@ def solve_bound_states(profile: PotentialProfile, count: int,
             notes.append(f"the halving change exceeds {_UNRESOLVED_CHANGE:g} of the energy "
                          f"(state {', '.join(unresolved)}), so the level may not be "
                          f"resolved, and its error can reach about twice the change")
+        if isinstance(source, RegularizedImage):
+            for state, d in zip(kept, change):
+                state[0] -= 4.0 / 3.0 * d
         report = ConvergenceReport(profile.grid.h_A, fine.h_A, change, "; ".join(notes))
-    return SolveResult(tuple(states), count, count - len(states), report,
-                       tuple(warnings))
+    states = tuple(BoundState(e, z, psi, nodes, zbar) for e, psi, nodes, zbar in kept)
+    return SolveResult(states, count, count - len(states), report, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -665,8 +781,13 @@ def stark_scan(spec: PotentialSpec, fields_v_per_m: "list[float]",
 
 
 def write_wavefunction(state: BoundState, stream: IO[str], label: int) -> None:
-    """Two-column dump: z in nm, psi in nm^-1/2, one header line."""
+    """Two-column dump, one header line: z in nm, which is non-uniform on a
+    graded grid, and psi in nm^-1/2, with sum psi^2 w = 1 (w in nm, see
+    GridSpec.weights).  psi is printed in fixed point to the digits at or above
+    _DUMP_RESOLUTION of its largest value; the digits below that are rounding
+    noise of the eigenvector and follow the path of the solve."""
     stream.write(f"# z_nm psi_nm^-1/2 state={label} energy_mev={state.energy_mev:.6e}\n")
-    scale = math.sqrt(10.0)       # A^-1/2 -> nm^-1/2
-    for zi, pi in zip(state.z_A, state.psi):
-        stream.write(f"{zi / 10.0:.10e} {pi * scale:.10e}\n")
+    psi = state.psi * math.sqrt(10.0)       # A^-1/2 -> nm^-1/2
+    digits = max(0, -math.floor(math.log10(_DUMP_RESOLUTION * float(np.max(np.abs(psi))))))
+    for zi, pi in zip(state.z_A, psi):
+        stream.write(f"{zi / 10.0:.10e} {round(pi, digits) + 0.0:.{digits}f}\n")   # no -0

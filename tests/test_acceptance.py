@@ -195,14 +195,16 @@ def test_criterion_4_frequency_energy_identity(registry, all_solutions):
     assert ok
 
 
-def test_criterion_5_eigensolver_properties(all_solutions):
+def test_criterion_5_eigensolver_properties(registry, all_solutions):
     solutions, _ = all_solutions
     worst_norm = 0.0
     nodes_ok = True
-    for result in solutions.values():
-        for k, state in enumerate(result.states):
-            h = state.z_A[1] - state.z_A[0]
-            worst_norm = max(worst_norm, abs(float(np.sum(state.psi**2)) * h - 1.0))
+    for surface in registry.surfaces:
+        weights = zstates.default_grid(RegularizedImage(
+            surface.barrier_v0_ev, surface.dielectric_constant,
+            surface.scattering_length_A)).weights()
+        for k, state in enumerate(solutions[surface.name].states):
+            worst_norm = max(worst_norm, abs(float(np.sum(state.psi**2 * weights)) - 1.0))
             nodes_ok = nodes_ok and state.node_count == k
     he = RegularizedImage(v0_ev=1.1, eps_r=1.056, b_A=0.62)
     energies = zstates.richardson_energies(he, zstates.default_grid(he), halvings=3)

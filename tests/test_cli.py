@@ -493,12 +493,39 @@ class TestInputContract:
         code, _, err = run(capsys, "phase-diagram", "--gamma0", "127", "--points", limit)
         assert code == 2 and f"[2, {phases.MAX_CURVE_POINTS}]" in err
 
+    @pytest.mark.parametrize("kind, record", [
+        ("species", {"mass_amu": -1, "sigma_A": 2.7, "epsilon_K": 35.6}),
+        ("surfaces", {"number_density_A3": -1, "scattering_length_A": 0.38,
+                      "dielectric_constant": 1.244, "barrier_V0_eV": 0.7}),
+    ], ids=["species", "surface"])
+    def test_range_refusal_quotes_a_long_name_bounded(self, capsys, tmp_path, kind, record):
+        doc = {"species": [], "surfaces": []}
+        doc[kind].append({"name": "x" * 1000, **record})
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "table1", "--substances", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and " = -1 is outside " in err
+        assert "'xxxxxxxxxxxxxxxxxxx...xxxxxxxxxxxxxxxx'" in err
+        assert len(err) <= 100
+
+    def test_over_long_json_integer_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text('{"species": [{"name": "Ne", "mass_amu": ' + "1" * 5000
+                        + ', "sigma_A": 2.7, "epsilon_K": 35.6}], "surfaces": []}',
+                        encoding="utf-8")
+        code, out, err = run(capsys, "table1", "--substances", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: unreadable JSON number: ")
+        assert "4300 digits" in err and err.count("\n") == 1
+
     def test_convergence_note_goes_to_stderr(self, capsys):
         _, plain, _ = run(capsys, "table2", "--substance", "4He")
         code, out, err = run(capsys, "table2", "--substance", "4He", "--b", "0.001")
         assert code == 0
         assert err.startswith("note: liquid 4He: cutoff b = 0.001 A is below the grid spacing")
-        assert out.splitlines()[:2] == plain.splitlines()[:2]
+        assert out.splitlines()[0].split() == plain.splitlines()[0].split()
+        assert "note" not in out
 
 
 # Every subcommand with its numeric options: (option, required, values).

@@ -219,4 +219,6 @@ def load_registry(path: str | Path | None = None) -> SubstanceRegistry:
         ) from exc
     except ValueError as exc:       # an integer longer than Python converts (4300 digits)
         raise RegistryError(f"{origin}: unreadable JSON number: {exc}") from exc
+    except RecursionError as exc:   # arrays or objects nested past the recursion limit
+        raise RegistryError(f"{origin}: JSON nested too deeply to read") from exc
     return _parse(doc, origin)

@@ -2,11 +2,11 @@
 
 An excess electron above a quantum liquid or solid sees a repulsive bulk
 barrier for z < 0 and an attractive polarization tail for z > 0.  This
-module builds sampled potential profiles for three variants
+module builds sampled potential profiles for two variants
 
-  * RegularizedImage   V0 for z < 0,  -(eps-1)/(eps+1) e^2/4(z+b) for z >= 0
-  * InfiniteBarrierImage  hard wall (implemented as a 1 MeV step) with the
-    bare -(eps-1)/(eps+1) e^2/4z tail
+  * RegularizedImage   V0 for z < 0,  -(eps-1)/(eps+1) e^2/4(z+b) for z >= 0;
+                       b = 0 under the V0 = INFINITE_BARRIER_EV cap is the hard
+                       wall with the bare tail (`InfiniteBarrierImage`)
   * Interface          solid barrier below, liquid barrier above:
                        -(eps-1)/(eps+1) e^2/4z + V_above tanh^2(z/zeta)
 
@@ -71,10 +71,12 @@ import numpy as np
 from .units import (BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, NORMAL, PLANCK_EV_S,
                     SolverError, checked, compiled)
 
-# Stand-in for a hard wall; penetration depth at 1 MeV is ~0.002 A, far
-# below any grid spacing used here.  Also the cap on every barrier height:
-# bisection's accuracy 4 eps |T| grows with the barrier and, above this,
-# moves the levels (at 1e9 eV, liquid 4He's dE_half_grid by 11%).
+# The cap on every barrier height, and with b = 0 the stand-in for a hard wall:
+# bisection's accuracy 4 eps |T| grows with the barrier and, above this, moves
+# the levels (at 1e9 eV, liquid 4He's dE_half_grid by 11%).  The decay length
+# under it, about 0.002 A (_MIN_STEP_A), lets the hard wall's levels reach the
+# 1/z pole: they lie 3.7e-5 (eps = 1.02) to 6.2e-4 (eps = 1.4) of themselves
+# below -Z^2/2n^2.
 INFINITE_BARRIER_EV = 1.0e6
 
 # Cap on the pressing field: at most that height per Angstrom, which keeps
@@ -84,11 +86,12 @@ MAX_FIELD_V_PER_M = INFINITE_BARRIER_EV * 1e10
 # Largest grid any solve may build, checked before anything is allocated.
 # Memory grows as points x levels.  The convergence report's halving doubles
 # the points, so a reported solve takes base grids up to half of this: the
-# hard wall's default grids of up to 27 levels (40 without a report).
+# default grids of up to 40 levels (57 without a report), though the
+# eigenvector block below binds first, at 38.
 MAX_GRID_POINTS = 1 << 20
 
 # Largest points x count block of eigenvectors a solve may allocate (128 MB);
-# the graded default grids of up to 37 levels stay below it.
+# the default grids of up to 37 levels stay below it.
 MAX_EIGENVECTOR_BLOCK = 1 << 24
 
 # A solve seeds itself from the grid 4x coarser while that grid keeps at least
@@ -113,8 +116,8 @@ _UNRESOLVED_CHANGE = 1e-3
 # min(b, a_B/Z)/_SURFACE_CELLS, the tail spacing (a_B/Z)/_TAIL_CELLS, and the
 # spacing grows from one to the other over about _BEND_LENGTHS * a_B/Z.  No step
 # is finer than _MIN_STEP_A, the decay length under the highest barrier allowed
-# (0.002 A): bisection's accuracy 4 eps |T| grows as 1/step^2, and a cutoff b
-# below it gets the convergence report's b < h note instead.
+# (0.002 A): bisection's accuracy 4 eps |T| grows as 1/step^2, and a cutoff
+# 0 < b below it gets the convergence report's b < h note instead.
 _SURFACE_CELLS = 16.0
 _TAIL_CELLS = 100.0
 _BEND_LENGTHS = 4.0
@@ -134,7 +137,8 @@ _EDGE_MASS_TOL = 1e-4
 
 @dataclass(frozen=True)
 class RegularizedImage:
-    """Finite barrier V0 with the image tail shifted by cutoff b."""
+    """Barrier V0 with the image tail shifted by cutoff b; b = 0 at the
+    V0 = INFINITE_BARRIER_EV cap is the hard wall (`InfiniteBarrierImage`)."""
 
     v0_ev: float
     eps_r: float
@@ -144,20 +148,10 @@ class RegularizedImage:
     def __post_init__(self):
         checked(self.v0_ev, "V0 = {} eV", 0.0, INFINITE_BARRIER_EV, "(]")
         checked(self.eps_r, "eps_r = {}", 1.0, ends="(]")
-        checked(self.b_A, "cutoff b = {} A", 0.0, ends="(]")
-        checked(self.pressing_field_v_per_m, "pressing field {} V/m", -MAX_FIELD_V_PER_M,
-                MAX_FIELD_V_PER_M)
-
-
-@dataclass(frozen=True)
-class InfiniteBarrierImage:
-    """Hard-wall limit with the unshifted image tail."""
-
-    eps_r: float
-    pressing_field_v_per_m: float = 0.0
-
-    def __post_init__(self):
-        checked(self.eps_r, "eps_r = {}", 1.0, ends="(]")
+        # b = 0 only under the hard wall: over a finite barrier the unshifted
+        # tail has no continuum limit (Loudon's 1D hydrogen atom)
+        checked(self.b_A, "cutoff b = {} A", 0.0,
+                ends="[]" if self.v0_ev == INFINITE_BARRIER_EV else "(]")
         checked(self.pressing_field_v_per_m, "pressing field {} V/m", -MAX_FIELD_V_PER_M,
                 MAX_FIELD_V_PER_M)
 
@@ -186,7 +180,12 @@ class Interface:
                 MAX_FIELD_V_PER_M)
 
 
-PotentialSpec = Union[RegularizedImage, InfiniteBarrierImage, Interface]
+def InfiniteBarrierImage(eps_r: float, pressing_field_v_per_m: float = 0.0) -> RegularizedImage:
+    """Hard-wall limit: the unshifted image tail over the barrier cap."""
+    return RegularizedImage(INFINITE_BARRIER_EV, eps_r, 0.0, pressing_field_v_per_m)
+
+
+PotentialSpec = Union[RegularizedImage, Interface]
 
 
 @dataclass(frozen=True)
@@ -310,9 +309,9 @@ def default_grid(spec: PotentialSpec, levels: int = 2, z_max_A: float | None = N
     A RegularizedImage gets a graded grid (GridSpec): step
     h0 = min(b, a_B/Z)/16 at the surface, at least _MIN_STEP_A, growing to
     h_max = (a_B/Z)/100 over about 4 a_B/Z, or a uniform one at h_max where
-    h0 would not be finer.  The hard wall keeps the uniform spacing
-    (a_B/Z)/200.  The Interface variant has no Rydberg tail; it gets a fixed
-    fine grid resolving the zeta-scale structure instead.
+    h0 would not be finer; the hard wall (b = 0) starts at _MIN_STEP_A.  The
+    Interface variant has no Rydberg tail; it gets a fixed fine grid
+    resolving the zeta-scale structure instead.
     """
     if isinstance(spec, Interface):
         return surface_grid(-20.0, 50.0, spec.zeta_A / 100.0)
@@ -320,8 +319,6 @@ def default_grid(spec: PotentialSpec, levels: int = 2, z_max_A: float | None = N
     scale = BOHR_ANGSTROM / hydrogenic_charge(spec.eps_r)
     if z_max_A is None:
         z_max_A = scale * max(30.0, 3.0 * levels**2 + 10.0 * levels)
-    if isinstance(spec, InfiniteBarrierImage):
-        return surface_grid(-20.0, z_max_A, scale / 200.0)
     h_max = scale / _TAIL_CELLS
     h0 = min(max(min(spec.b_A, scale) / _SURFACE_CELLS, _MIN_STEP_A), h_max)
     ratio = h_max / h0
@@ -343,23 +340,19 @@ def build_potential(spec: PotentialSpec, grid: GridSpec | None = None) -> Potent
     if grid is None:
         grid = default_grid(spec)
     z = grid.nodes()
-    h = grid.h_A
     pos = z >= 0.0
     if isinstance(spec, RegularizedImage):
-        a = hydrogenic_charge(spec.eps_r) * HARTREE_EV * BOHR_ANGSTROM
-        v = np.where(pos, 0.0, spec.v0_ev)
-        v[pos] = -a / (z[pos] + spec.b_A)
-    elif isinstance(spec, InfiniteBarrierImage):
-        a = hydrogenic_charge(spec.eps_r) * HARTREE_EV * BOHR_ANGSTROM
-        v = np.where(pos, 0.0, INFINITE_BARRIER_EV)
-        v[pos] = -a / np.maximum(z[pos], 0.5 * h)
+        eps, barrier, b = spec.eps_r, spec.v0_ev, spec.b_A
     elif isinstance(spec, Interface):
-        a = hydrogenic_charge(spec.eps_r_below) * HARTREE_EV * BOHR_ANGSTROM
-        v = np.where(pos, 0.0, spec.v_barrier_below_ev)
-        zc = np.maximum(z[pos], 0.5 * h)      # cap the z->0+ pole at half a cell
-        v[pos] = -a / zc + spec.v_barrier_above_ev * np.tanh(z[pos] / spec.zeta_A) ** 2
+        eps, barrier, b = spec.eps_r_below, spec.v_barrier_below_ev, 0.0
     else:
         raise TypeError(f"unsupported potential spec {type(spec).__name__}")
+    a = hydrogenic_charge(eps) * HARTREE_EV * BOHR_ANGSTROM
+    v = np.where(pos, 0.0, barrier)
+    # a node at z = 0 meets the b = 0 pole: cap it at half a cell
+    v[pos] = -a / np.maximum(z[pos] + b, 0.5 * grid.h_A)
+    if isinstance(spec, Interface):
+        v[pos] += spec.v_barrier_above_ev * np.tanh(z[pos] / spec.zeta_A) ** 2
     if spec.pressing_field_v_per_m:
         v[pos] += spec.pressing_field_v_per_m * 1e-10 * z[pos]   # e*E*z, eV per A
     warnings = []
@@ -681,7 +674,7 @@ def solve_bound_states(profile: PotentialProfile, count: int,
             change = tuple((e - float(fine_e[k]) * 1e3) for k, (e, *_) in enumerate(kept))
         except SolverError:
             notes.append("refined solve failed")
-        if isinstance(source, RegularizedImage) and source.b_A < profile.grid.h_A:
+        if isinstance(source, RegularizedImage) and 0.0 < source.b_A < profile.grid.h_A:
             notes.append(f"cutoff b = {source.b_A:.3g} A is below the grid spacing "
                          f"h = {profile.grid.h_A:.3g} A at the surface, so the halving "
                          f"change under-reports the error")

@@ -17,7 +17,7 @@ import eqls
 from eqls import phases
 from eqls.cli import main
 from eqls.units import compiled
-from eqls.zstates import MAX_GRID_POINTS
+from eqls.zstates import MAX_GRID_POINTS, hydrogenic_levels
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -153,6 +153,20 @@ class TestStates:
         assert code == 0
         assert "bound" in err
         assert len(parse_csv(out)) < 6
+
+    def test_zero_cutoff_is_refused_below_the_barrier_cap(self, capsys):
+        code, out, err = run(capsys, "states", "--substance", "liquid 4He", "--b", "0")
+        assert (code, out, err) == (2, "", "error: cutoff b = 0 A is outside (0, inf)\n")
+
+    def test_zero_cutoff_at_the_barrier_cap_is_the_hard_wall(self, capsys):
+        code, out, err = run(capsys, "states", "--substance", "liquid 4He", "--b", "0",
+                             "--v0", "1e6", "--levels", "4", "--format", "csv")
+        assert code == 0 and err == ""
+        rows = parse_csv(out)
+        exact = hydrogenic_levels(1.056, 4)
+        assert len(rows) == 4
+        for row, e in zip(rows, exact):
+            assert float(row["energy_meV"]) == pytest.approx(e, rel=1e-3)
 
 
 class TestClassify:
@@ -518,6 +532,13 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: unreadable JSON number: ")
         assert "4300 digits" in err and err.count("\n") == 1
+
+    def test_deeply_nested_json_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        code, out, err = run(capsys, "table1", "--substances", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: JSON nested too deeply to read\n"
 
     def test_convergence_note_goes_to_stderr(self, capsys):
         _, plain, _ = run(capsys, "table2", "--substance", "4He")

@@ -119,7 +119,8 @@ class TestGrid:
             solve_bound_states(big, block + 1, report_convergence=False)
 
     def test_default_grids_of_every_level_fit_the_block_cap(self):
-        for spec in (RegularizedImage(1.0, 1.02, 0.5), RegularizedImage(1.0, 1.4, 0.5)):
+        for spec in (RegularizedImage(1.0, 1.02, 0.5), RegularizedImage(1.0, 1.4, 0.5),
+                     InfiniteBarrierImage(1.02), InfiniteBarrierImage(1.4)):
             for levels in range(1, 38):
                 grid = default_grid(spec, levels)
                 assert grid.points * levels <= zstates.MAX_EIGENVECTOR_BLOCK
@@ -166,6 +167,28 @@ class TestBuildPotential:
             z = grid.nodes()
             assert profile.samples_ev[z == -1.0][0] == expected
 
+    @pytest.mark.parametrize("eps", [1.02, 1.056, 1.4])
+    def test_hard_wall_samples_the_bare_tail(self, eps):
+        # the bench's hard-wall grid: the first node above the surface is h/2,
+        # to rounding, so the half-cell cap moves no sample by more than that
+        scale = BOHR_ANGSTROM / zstates.hydrogenic_charge(eps)
+        grid = surface_grid(-20.0, 30.0 * scale, scale / 800.0)
+        z = grid.nodes()
+        v = build_potential(InfiniteBarrierImage(eps), grid).samples_ev
+        a = zstates.hydrogenic_charge(eps) * HARTREE_EV * BOHR_ANGSTROM
+        assert np.all(v[z < 0] == zstates.INFINITE_BARRIER_EV)
+        np.testing.assert_allclose(v[z >= 0], -a / z[z >= 0], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [HE_SPEC, NE_SPEC, RegularizedImage(100.0, 1.4, 2.0),
+                                      RegularizedImage(0.5, 1.02, 0.001)],
+                             ids=["4He", "Ne", "wide-cutoff", "cutoff-below-floor"])
+    def test_default_grids_sample_the_shifted_tail_exactly(self, spec):
+        grid = default_grid(spec, 3)
+        z = grid.nodes()
+        v = build_potential(spec, grid).samples_ev
+        a = zstates.hydrogenic_charge(spec.eps_r) * HARTREE_EV * BOHR_ANGSTROM
+        assert np.array_equal(v[z >= 0], -a / (z[z >= 0] + spec.b_A))
+
     def test_interface_saturates_to_upper_barrier(self):
         # without a polarizable solid below, the far potential is the upper barrier
         spec = Interface(v_barrier_below_ev=0.7, v_barrier_above_ev=1.1,
@@ -203,6 +226,8 @@ class TestBuildPotential:
 
     def test_barrier_cap_is_the_hard_wall_stand_in(self):
         RegularizedImage(zstates.INFINITE_BARRIER_EV, 1.056, 0.62)
+        assert (RegularizedImage(zstates.INFINITE_BARRIER_EV, 1.056, 0.0, 1e5)
+                == InfiniteBarrierImage(1.056, pressing_field_v_per_m=1e5))
         with pytest.raises(ValueError, match=r"V0 = 1000000000 eV is outside \(0, 1000000\]"):
             RegularizedImage(1e9, 1.056, 0.62)
 
@@ -211,6 +236,9 @@ class TestBuildPotential:
             RegularizedImage(1.1, 0.9, 0.62)
         with pytest.raises(ValueError):
             RegularizedImage(1.1, 1.056, -0.1)
+        # b = 0 only under the hard wall: below the cap the 1/z tail has no limit
+        with pytest.raises(ValueError, match=r"^cutoff b = 0 A is outside \(0, inf\)$"):
+            RegularizedImage(1.0, 1.056, 0.0)
         with pytest.raises(ValueError):
             Interface(0.7, 1.1, 1.244, 0.0)
 
@@ -301,6 +329,26 @@ class TestSolveBoundStates:
         state = result.states[0]
         assert state.energy_mev == pytest.approx(-0.630856, rel=0.01)
         assert state.mean_z_nm == pytest.approx(1.5 * scale / 10.0, rel=0.01)
+
+    @pytest.mark.parametrize("eps", [1.02, 1.056, 1.2, 1.4])
+    def test_hard_wall_default_grids_match_hydrogenic(self, eps):
+        # what is left is the 1 MeV stand-in's own penetration, about 0.002 A:
+        # at most 6.2e-4, at eps = 1.4
+        spec = InfiniteBarrierImage(eps)
+        for levels in range(1, 7):
+            result = solve_bound_states(build_potential(spec, default_grid(spec, levels)),
+                                        levels)
+            assert result.shortfall == 0 and result.convergence.note == ""
+            exact = hydrogenic_levels(eps, levels)
+            for state, e in zip(result.states, exact):
+                assert state.energy_mev == pytest.approx(e, rel=1e-3)
+
+    @pytest.mark.parametrize("eps", [1.02, 1.056, 1.2, 1.4])
+    def test_hard_wall_default_grid_converges_at_second_order(self, eps):
+        spec = InfiniteBarrierImage(eps)
+        energies = zstates.richardson_energies(spec, default_grid(spec), 2)
+        (ratio,) = zstates.richardson_ratios(energies)
+        assert 3.5 <= ratio <= 4.5
 
     def test_shortfall_reported_for_unbound_requests(self):
         # the default grid holds the two standard states; asking for six

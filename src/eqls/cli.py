@@ -132,9 +132,14 @@ def _cmd_table1(args) -> int:
     return 0
 
 
+# table2's columns after `substance`, in order, with their md formats
 _TABLE2_MD = {"n_A3": ".4f", "a_s_A": ".2f", "eps_r": ".3f", "V0_eV": ".2f",
               "E1_meV": ".4g", "E2_meV": ".4g", "dE_K": ".4g", "f_THz": ".3g",
               "z1_nm": ".3g", "z2_nm": ".3g"}
+
+# table2 --residuals: each computed column and its field of `matter` reference rows
+_TABLE2_REFERENCES = (("E1_meV", "e1_mev"), ("E2_meV", "e2_mev"), ("dE_K", "de_k"),
+                      ("f_THz", "f_thz"), ("z1_nm", "z1_nm"), ("z2_nm", "z2_nm"))
 
 
 def _surface_spec(surface, args, field=0.0):
@@ -172,21 +177,20 @@ def _cmd_table2(args) -> int:
                "z1_nm": s1.mean_z_nm, "z2_nm": s2.mean_z_nm}
         if args.residuals:
             ref = sf.reference
-            pairs = (("E1_meV", "e1_mev"), ("E2_meV", "e2_mev"), ("dE_K", "de_k"),
-                     ("f_THz", "f_thz"), ("z1_nm", "z1_nm"), ("z2_nm", "z2_nm"))
-            for col, attr in pairs:
+            for col, attr in _TABLE2_REFERENCES:
                 refval = getattr(ref, attr) if ref else None
                 row[f"ref_{col}"] = refval
                 row[f"res_{col}"] = (None if refval is None
                                      else (row[col] - refval) / abs(refval))
         rows.append(row)
-    columns = list(rows[0].keys())
+    # the columns come from the command, so a registry without surfaces prints a header
+    columns = ["substance", *_TABLE2_MD]
     md = dict(_TABLE2_MD)
-    for c in columns:
-        if c.startswith("ref_"):
-            md[c] = _TABLE2_MD.get(c[4:], ".4g")
-        elif c.startswith("res_"):
-            md[c] = ".2%"
+    if args.residuals:
+        for col, _ in _TABLE2_REFERENCES:
+            columns += [f"ref_{col}", f"res_{col}"]
+            md[f"ref_{col}"] = _TABLE2_MD[col]
+            md[f"res_{col}"] = ".2%"
     _emit_table(args, columns, rows, md_formats=md)
     return 0
 

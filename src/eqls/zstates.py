@@ -14,14 +14,14 @@ and solves -hbar^2/(2 m_e) psi'' + V psi = E psi on a grid with Dirichlet
 ends, using the three-point variable-spacing difference operator, made a
 symmetric tridiagonal by the node weights (`_hamiltonian`).  Grids are
 uniform in a coordinate s and mapped to z by a smooth odd map (GridSpec):
-the default RegularizedImage grid is fine at the surface and coarse in the
-image tail, the other grids are uniform.  Sturm-sequence
-bisection plus inverse iteration (LAPACK dstebz, then dstein once per
-level) finds the lowest eigenpairs of the tridiagonal Hamiltonian on one
-grid per spectrum: the coarsest of a cascade of grids, each 4x coarser
-than the one before, that starts at the grid asked for.  Every spec, grid
-and level count is range-checked (`units.checked`) before anything is
-allocated; barrier heights are capped at INFINITE_BARRIER_EV.
+the default RegularizedImage grid is fine at the surface, coarse in the
+near image tail and coarser still in the far tail, the other grids are
+uniform.  Sturm-sequence bisection plus inverse iteration (LAPACK dstebz,
+then dstein once per level) finds the lowest eigenpairs of the tridiagonal
+Hamiltonian on one grid per spectrum: the coarsest of a cascade of grids,
+each 4x coarser than the one before, that starts at the grid asked for.
+Every spec, grid and level count is range-checked (`units.checked`) before
+anything is allocated; barrier heights are capped at INFINITE_BARRIER_EV.
 
 Each tail's strength is Z = (eps-1)/(4(eps+1)) in atomic units
 (`hydrogenic_charge`), Z * HARTREE_EV * BOHR_ANGSTROM in eV*A; the default
@@ -86,12 +86,12 @@ MAX_FIELD_V_PER_M = INFINITE_BARRIER_EV * 1e10
 # Largest grid any solve may build, checked before anything is allocated.
 # Memory grows as points x levels.  The convergence report's halving doubles
 # the points, so a reported solve takes base grids up to half of this: the
-# default grids of up to 40 levels (57 without a report), though the
-# eigenvector block below binds first, at 38.
+# default grids of up to 116 levels (165 without a report), though the
+# eigenvector block below binds first, at 75.
 MAX_GRID_POINTS = 1 << 20
 
 # Largest points x count block of eigenvectors a solve may allocate (128 MB);
-# the default grids of up to 37 levels stay below it.
+# the default grids of up to 74 levels stay below it.
 MAX_EIGENVECTOR_BLOCK = 1 << 24
 
 # A solve seeds itself from the grid 4x coarser while that grid keeps at least
@@ -113,14 +113,19 @@ _REFINE_STEP = 1e-9
 _UNRESOLVED_CHANGE = 1e-3
 
 # Default graded grids (`default_grid`): the step at the surface is
-# min(b, a_B/Z)/_SURFACE_CELLS, the tail spacing (a_B/Z)/_TAIL_CELLS, and the
-# spacing grows from one to the other over about _BEND_LENGTHS * a_B/Z.  No step
-# is finer than _MIN_STEP_A, the decay length under the highest barrier allowed
-# (0.002 A): bisection's accuracy 4 eps |T| grows as 1/step^2, and a cutoff
-# 0 < b below it gets the convergence report's b < h note instead.
+# min(b, a_B/Z)/_SURFACE_CELLS, the near-tail spacing (a_B/Z)/_TAIL_CELLS, and
+# the spacing grows from one to the other over about _BEND_LENGTHS * a_B/Z.  In
+# the far tail it keeps growing, to _FAR_RATIO times the near-tail spacing over
+# about _FAR_BEND_LENGTHS * a_B/Z: level n reaches out to about n^2 a_B/Z but
+# varies only on the scale n a_B/Z there.  No step is finer than _MIN_STEP_A,
+# the decay length under the highest barrier allowed (0.002 A): bisection's
+# accuracy 4 eps |T| grows as 1/step^2, and a cutoff 0 < b below it gets the
+# convergence report's b < h note instead.
 _SURFACE_CELLS = 16.0
 _TAIL_CELLS = 100.0
 _BEND_LENGTHS = 4.0
+_FAR_RATIO = 8.0
+_FAR_BEND_LENGTHS = 50.0
 _MIN_STEP_A = BOHR_ANGSTROM / math.sqrt(2.0 * INFINITE_BARRIER_EV / HARTREE_EV)
 
 # The finest digit of psi that `write_wavefunction` prints, relative to its
@@ -192,10 +197,13 @@ PotentialSpec = Union[RegularizedImage, Interface]
 class GridSpec:
     """`points` nodes z(s) at equally spaced s from s_min < 0 to s_max > 0.
 
-    The map z(s) = s + (ratio - 1)(s - bend tanh(s/bend)) is odd and smooth:
-    its slope rises from 1 at s = 0 to `ratio` for |s| >> bend, so the node
-    spacing grows from the step h_A at the surface to about ratio * h_A in the
-    tail.  ratio = 1 (the default) is the uniform grid z = s.
+    The map z(s) = s + (r - 1)(s - L tanh(s/L)) + r (G - 1)(s - L2 tanh(s/L2)),
+    with r = `ratio`, L = `bend_A`, G = `far_ratio` and L2 = `far_bend_A`, is
+    odd and smooth: its slope rises from 1 at s = 0 to r for L << |s| << L2
+    and to r G for |s| >> L2, so the node spacing grows from the step h_A at
+    the surface to about r h_A in the near tail and r G h_A in the far tail.
+    ratio = far_ratio = 1 (the defaults) is the uniform grid z = s, and
+    far_ratio = 1 leaves the one-stage map s + (r - 1)(s - L tanh(s/L)).
     """
 
     s_min_A: float
@@ -203,6 +211,8 @@ class GridSpec:
     points: int
     ratio: float = 1.0
     bend_A: float = 1.0
+    far_ratio: float = 1.0
+    far_bend_A: float = 1.0
 
     def __post_init__(self):
         checked(self.s_min_A, "grid s_min = {} A", high=0.0, ends="[)")
@@ -213,6 +223,8 @@ class GridSpec:
         checked(0.5 / h_au / h_au, f"the kinetic term of grid spacing {self.h_A:g} A", NORMAL)
         checked(self.ratio, "grid spacing ratio {}", 1.0)
         checked(self.bend_A, "grid bend {} A", 0.0, ends="(]")
+        checked(self.far_ratio, "far grid spacing ratio {}", 1.0)
+        checked(self.far_bend_A, "far grid bend {} A", 0.0, ends="(]")
         checked(self.z_max_A - self.z_min_A, "grid extent {} A", 0.0, ends="(]")
 
     @property
@@ -229,7 +241,11 @@ class GridSpec:
         return float(self._mapped(self.s_max_A))
 
     def _mapped(self, s):
-        return s + (self.ratio - 1.0) * (s - self.bend_A * np.tanh(s / self.bend_A))
+        z = s + (self.ratio - 1.0) * (s - self.bend_A * np.tanh(s / self.bend_A))
+        if self.far_ratio != 1.0:
+            far = self.far_bend_A
+            z = z + self.ratio * (self.far_ratio - 1.0) * (s - far * np.tanh(s / far))
+        return z
 
     def _cells(self):
         """Nodes, the spacings of the n + 1 cells (a ghost node beyond each end)
@@ -254,37 +270,51 @@ class GridSpec:
         return self._cells()[2]
 
 
-def _lattice(s_min_A: float, s_max_A: float, h_A: float, ratio: float = 1.0,
-             bend_A: float = 1.0) -> GridSpec:
-    """Step h covering [s_min, s_max] in s, with s = 0 (so z = 0) midway between nodes."""
+def _lattice(s_min_A: float, s_max_A: float, h_A: float, *grid_map: float) -> GridSpec:
+    """Step h covering [s_min, s_max] in s, with s = 0 (so z = 0) midway between
+    nodes, under the map (ratio, bend, far_ratio, far_bend) of GridSpec."""
     checked(h_A, "grid spacing {} A", 0.0, ends="(]")
     checked((s_max_A - s_min_A) / h_A, "grid of {} cells", 0.0, MAX_GRID_POINTS)
     m = int(math.ceil(-s_min_A / h_A - 0.5))
     p = int(math.ceil(s_max_A / h_A + 0.5))
-    return GridSpec(-(m + 0.5) * h_A, (p - 0.5) * h_A, m + p + 1, ratio, bend_A)
+    return GridSpec(-(m + 0.5) * h_A, (p - 0.5) * h_A, m + p + 1, *grid_map)
 
 
-def _unmapped(z_A: float, ratio: float, bend_A: float) -> float:
+def _unmapped(z_A: float, ratio: float, bend_A: float, far_ratio: float,
+              far_bend_A: float) -> float:
     """The s >= 0 with z(s) = z >= 0 (see GridSpec), by Newton's method: z(s)
-    is convex there and z(s) >= s, so from s = z the iterates fall to the root."""
+    is convex there and z(s) >= s, so from s = z the iterates fall to the root.
+    Rounding can carry a long step past it, so it stops at the first step
+    that is no shorter than the one before."""
     s = z_A
-    while ratio != 1.0:
+    last = math.inf
+    while ratio != 1.0 or far_ratio != 1.0:
         t = math.tanh(s / bend_A)
-        step = (s + (ratio - 1.0) * (s - bend_A * t) - z_A) / (1.0 + (ratio - 1.0) * t * t)
-        if not s - step < s:
+        z = s + (ratio - 1.0) * (s - bend_A * t)
+        slope = 1.0 + (ratio - 1.0) * t * t
+        if far_ratio != 1.0:
+            t = math.tanh(s / far_bend_A)
+            z += ratio * (far_ratio - 1.0) * (s - far_bend_A * t)
+            slope += ratio * (far_ratio - 1.0) * t * t
+        step = (z - z_A) / slope
+        if not abs(step) < last:
             break
         s -= step
+        last = abs(step)
     return s
 
 
 def surface_grid(z_min_A: float, z_max_A: float, h_A: float, ratio: float = 1.0,
-                 bend_A: float = 1.0) -> GridSpec:
+                 bend_A: float = 1.0, far_ratio: float = 1.0,
+                 far_bend_A: float = 1.0) -> GridSpec:
     """Grid covering [z_min, z_max] with z = 0 midway between two nodes: step h
-    in s under the map (ratio, bend) of GridSpec, by default uniform spacing h."""
+    in s under the map (ratio, bend, far_ratio, far_bend) of GridSpec, by
+    default uniform spacing h."""
     checked(z_min_A, "grid z_min = {} A", high=0.0, ends="[)")
     checked(z_max_A, "grid z_max = {} A", 0.0, ends="(]")
-    return _lattice(-_unmapped(-z_min_A, ratio, bend_A), _unmapped(z_max_A, ratio, bend_A),
-                    h_A, ratio, bend_A)
+    grid_map = (ratio, bend_A, far_ratio, far_bend_A)
+    return _lattice(-_unmapped(-z_min_A, *grid_map), _unmapped(z_max_A, *grid_map), h_A,
+                    *grid_map)
 
 
 def hydrogenic_charge(eps_r: float) -> float:
@@ -308,10 +338,10 @@ def default_grid(spec: PotentialSpec, levels: int = 2, z_max_A: float | None = N
     hydrogenic ground-state height, extended for levels > 2 (or `z_max_A`).
     A RegularizedImage gets a graded grid (GridSpec): step
     h0 = min(b, a_B/Z)/16 at the surface, at least _MIN_STEP_A, growing to
-    h_max = (a_B/Z)/100 over about 4 a_B/Z, or a uniform one at h_max where
-    h0 would not be finer; the hard wall (b = 0) starts at _MIN_STEP_A.  The
-    Interface variant has no Rydberg tail; it gets a fixed fine grid
-    resolving the zeta-scale structure instead.
+    h_max = (a_B/Z)/100 over about 4 a_B/Z (not at all where h0 would not be
+    finer), then to 8 h_max over about 50 a_B/Z; the hard wall (b = 0) starts
+    at _MIN_STEP_A.  The Interface variant has no Rydberg tail; it gets a
+    fixed fine uniform grid resolving the zeta-scale structure instead.
     """
     if isinstance(spec, Interface):
         return surface_grid(-20.0, 50.0, spec.zeta_A / 100.0)
@@ -322,7 +352,8 @@ def default_grid(spec: PotentialSpec, levels: int = 2, z_max_A: float | None = N
     h_max = scale / _TAIL_CELLS
     h0 = min(max(min(spec.b_A, scale) / _SURFACE_CELLS, _MIN_STEP_A), h_max)
     ratio = h_max / h0
-    return surface_grid(-20.0, z_max_A, h0, ratio, _BEND_LENGTHS * scale / ratio)
+    return surface_grid(-20.0, z_max_A, h0, ratio, _BEND_LENGTHS * scale / ratio,
+                        _FAR_RATIO, _FAR_BEND_LENGTHS * scale / ratio)
 
 
 @dataclass(frozen=True)
@@ -613,7 +644,8 @@ def _is_bound(grid: GridSpec, v_ev: np.ndarray, e_ev: float, psi: np.ndarray) ->
 def _rescaled(grid: GridSpec, factor: float) -> GridSpec:
     """The same map over the same extent with the step times `factor` (z = 0
     still midway between nodes): the halved grid and each coarser one."""
-    return _lattice(grid.s_min_A, grid.s_max_A, factor * grid.h_A, grid.ratio, grid.bend_A)
+    return _lattice(grid.s_min_A, grid.s_max_A, factor * grid.h_A, grid.ratio, grid.bend_A,
+                    grid.far_ratio, grid.far_bend_A)
 
 
 def _halved(grid: GridSpec) -> GridSpec:

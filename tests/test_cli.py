@@ -91,6 +91,25 @@ class TestTable2:
         e_b = float(parse_csv(out_b)[0]["E1_meV"])
         assert e_b > e_default      # larger cutoff, shallower binding
 
+    @pytest.mark.parametrize("residuals", [[], ["--residuals"]])
+    def test_registry_without_surfaces_prints_the_header(self, capsys, tmp_path, residuals):
+        # the columns come from the command: the same as over a surface
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"species": [], "surfaces": []}), encoding="utf-8")
+        _, out, _ = run(capsys, "table2", "--substance", "solid Ne", *residuals,
+                        "--format", "json")
+        columns = json.loads(out)["columns"]
+        outputs = {}
+        for fmt in ("md", "csv", "json"):
+            code, outputs[fmt], err = run(capsys, "table2", "--substances", str(empty),
+                                          *residuals, "--format", fmt)
+            assert (code, err) == (0, "")
+        assert json.loads(outputs["json"]) == {"columns": columns, "rows": []}
+        assert outputs["csv"] == ",".join(columns) + "\n"
+        header, rule = outputs["md"].splitlines()
+        assert [c.strip() for c in header.strip("|").split("|")] == columns
+        assert set(rule) == {"|", "-"}
+
     def test_solver_failure_exits_3(self, capsys, monkeypatch):
         # non-convergence surfaces as exit status 3 (a real regularized
         # image potential always binds, so the failure is injected)
@@ -136,7 +155,7 @@ class TestStates:
         assert len(rows) == 6
         assert [int(r["nodes"]) for r in rows] == list(range(6))
 
-    @pytest.mark.parametrize("argv", [["--levels", "100"], ["--grid-h", "1e-4"]])
+    @pytest.mark.parametrize("argv", [["--levels", "200"], ["--grid-h", "1e-4"]])
     def test_grid_over_the_point_cap_exits_2(self, capsys, argv):
         # rejected while the grid is planned, before anything is allocated
         code, out, err = run(capsys, "states", "--substance", "liquid 4He", *argv)

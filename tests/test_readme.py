@@ -25,6 +25,21 @@ def test_every_module_name_in_the_readme_resolves():
     assert not missing, f"README.md names {missing}, which eqls does not define"
 
 
+def test_every_test_id_in_the_readme_exists():
+    # the figures README states name the test that enforces each one
+    ids = set(re.findall(r"`tests/(test_\w+)\.py((?:::\w+)+)`",
+                         README.read_text(encoding="utf-8")))
+    assert ids, "README names no test"
+    missing = []
+    for module, path in sorted(ids):
+        target = importlib.import_module(module)
+        for attr in path.split("::")[1:]:
+            target = getattr(target, attr, None)
+        if not callable(target):
+            missing.append(f"tests/{module}.py{path}")
+    assert not missing, f"README.md names {missing}, which the tests do not define"
+
+
 def test_command_synopsis_matches_the_parser():
     text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]

@@ -25,6 +25,7 @@ from eqls.zstates import (
     transition,
 )
 
+import shooting
 from conftest import solve_surface
 from test_acceptance import _exact_regularized_levels
 from whittaker import energy_of, nu_of, regularized_image_levels
@@ -96,7 +97,7 @@ class TestGrid:
         with pytest.raises(ValueError, match=CAP):
             GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS + 1)
         with pytest.raises(ValueError, match=CAP):
-            default_grid(HE_SPEC, levels=100)               # about 6.2M nodes
+            default_grid(HE_SPEC, levels=200)               # about 1.53M nodes
         with pytest.raises(ValueError, match=CAP):
             surface_grid(-20.0, 2300.0, 1e-4)
 
@@ -121,9 +122,55 @@ class TestGrid:
     def test_default_grids_of_every_level_fit_the_block_cap(self):
         for spec in (RegularizedImage(1.0, 1.02, 0.5), RegularizedImage(1.0, 1.4, 0.5),
                      InfiniteBarrierImage(1.02), InfiniteBarrierImage(1.4)):
-            for levels in range(1, 38):
+            for levels in range(1, 75):
                 grid = default_grid(spec, levels)
                 assert grid.points * levels <= zstates.MAX_EIGENVECTOR_BLOCK
+                assert zstates._halved(grid).points <= zstates.MAX_GRID_POINTS
+            assert default_grid(spec, 75).points * 75 > zstates.MAX_EIGENVECTOR_BLOCK
+
+    def test_far_tail_stage_halves_the_default_grid(self):
+        # the same grid without the far stage has 17387 points
+        assert default_grid(HE_SPEC, 6).points <= 17387 // 2
+
+    def test_grids_without_the_far_stage_keep_the_one_stage_map(self):
+        # the one-stage map and its Newton inverse, written out: every grid
+        # built without the far stage keeps these nodes bit for bit
+        def one_stage(s, ratio, bend):
+            return s + (ratio - 1.0) * (s - bend * np.tanh(s / bend))
+
+        def inverse(z, ratio, bend):
+            s = z
+            while ratio != 1.0:
+                t = math.tanh(s / bend)
+                step = (s + (ratio - 1.0) * (s - bend * t) - z) / (1.0 + (ratio - 1.0) * t * t)
+                if not s - step < s:
+                    break
+                s -= step
+            return s
+
+        for z_max, h, ratio, bend in ((300.0, 1.6, 1.0, 1.0), (2300.0, 0.0388, 20.0, 15.5),
+                                      (960.0, 0.002, 390.0, 0.8)):
+            grid = surface_grid(-20.0, z_max, h, ratio, bend)
+            assert (grid.far_ratio, grid.far_bend_A) == (1.0, 1.0)
+            m = math.ceil(inverse(20.0, ratio, bend) / h - 0.5)
+            p = math.ceil(inverse(z_max, ratio, bend) / h + 0.5)
+            assert (grid.s_min_A, grid.s_max_A, grid.points) == (-(m + 0.5) * h,
+                                                                 (p - 0.5) * h, m + p + 1)
+            s = grid.s_min_A + grid.h_A * np.arange(grid.points)
+            assert np.array_equal(grid.nodes(), one_stage(s, ratio, bend))
+            for coarse in (zstates._halved(grid), zstates._rescaled(grid, 4.0)):
+                assert (coarse.ratio, coarse.bend_A, coarse.far_ratio) == (ratio, bend, 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(z=st.floats(1e-3, 1e6), ratio=st.floats(1.0, 500.0), bend=st.floats(0.01, 100.0),
+           far_ratio=st.floats(1.0, 16.0), far_bend=st.floats(0.1, 1000.0))
+    def test_unmapped_inverts_the_two_stage_map(self, z, ratio, bend, far_ratio, far_bend):
+        s = zstates._unmapped(z, ratio, bend, far_ratio, far_bend)
+        assert 0.0 < s <= z
+        # z(s) sums terms up to (ratio * far_ratio) s, and each s - L tanh(s/L)
+        # cancels where s << L: a few of that term's ulps is rounding
+        grid = GridSpec(-1.0, 1.0, 3, ratio, bend, far_ratio, far_bend)
+        assert abs(float(grid._mapped(s)) - z) <= 4.0 * math.ulp(ratio * far_ratio * s)
 
     def test_every_grid_used_here_fits_with_its_halving(self):
         grids = [default_grid(spec, levels)
@@ -349,6 +396,24 @@ class TestSolveBoundStates:
         energies = zstates.richardson_energies(spec, default_grid(spec), 2)
         (ratio,) = zstates.richardson_ratios(energies)
         assert 3.5 <= ratio <= 4.5
+
+    def test_mean_heights_are_within_6e_5_of_their_richardson_limit(self, registry):
+        # <z> is that of the grid h; its limit is (4 z(h/4) - z(h/2))/3.  The
+        # worst measured is 5.594e-5
+        for surface in registry.surfaces:
+            spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
+                                    surface.scattering_length_A)
+            for levels in range(1, 7):
+                grid = default_grid(spec, levels)
+                heights = []
+                for _ in range(3):
+                    result = solve_bound_states(build_potential(spec, grid), levels,
+                                                report_convergence=False)
+                    heights.append([state.mean_z_nm for state in result.states])
+                    grid = zstates._halved(grid)
+                for z_h, z_half, z_quarter in zip(*heights, strict=True):
+                    limit = (4.0 * z_quarter - z_half) / 3.0
+                    assert z_h == pytest.approx(limit, rel=6e-5), (surface.name, levels)
 
     def test_shortfall_reported_for_unbound_requests(self):
         # the default grid holds the two standard states; asking for six
@@ -972,6 +1037,35 @@ class TestExactLevels:
             de_ev = (e2 - e1) * 1e-3
             assert cells[5:9] == [f"{e1:.4g}", f"{e2:.4g}", f"{de_ev / BOLTZMANN_EV_PER_K:.4g}",
                                   f"{de_ev / (PLANCK_EV_S * 1e12):.3g}"]
+
+
+class TestPressingFieldOracle:
+    """`states --field` against the ground level found by shooting (`shooting.py`)."""
+
+    def test_shooting_matches_the_exact_level_at_zero_field(self):
+        (exact,) = regularized_image_levels(1.1, 1.056, 0.62, 1)
+        level = shooting.ground_level(1.1, 1.056, 0.62, 0.0, 1.01 * exact, 0.99 * exact)
+        assert level == pytest.approx(exact, rel=1e-10)
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["liquid 3He", "liquid 4He", "solid Ne", "solid H2",
+                                 "solid HD", "solid D2"]),
+           field=st.floats(0.0, 1e5))
+    @example(name="liquid 3He", field=1e5)      # the widest image tail, pressed hardest
+    def test_printed_ground_level_matches_shooting(self, registry, tmp_path_factory, name,
+                                                   field):
+        out = tmp_path_factory.mktemp("field") / "out.json"
+        assert cli.main(["states", "--substance", name, "--levels", "1", "--field",
+                         repr(field), "--format", "json", "--output", str(out)]) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        surface = registry.get_surface(name)
+        # the field carries E through 0, so the scale is the field-free level's
+        scale = abs(float(hydrogenic_levels(surface.dielectric_constant, 1)[0]))
+        e = row["energy_meV"]
+        level = shooting.ground_level(surface.barrier_v0_ev, surface.dielectric_constant,
+                                      surface.scattering_length_A, field,
+                                      e - 0.01 * scale, e + 0.01 * scale)
+        assert abs(e - level) <= 1e-5 * max(abs(level), scale)
 
 
 class TestWavefunctionDump:

@@ -116,16 +116,18 @@ _UNRESOLVED_CHANGE = 1e-3
 # min(b, a_B/Z)/_SURFACE_CELLS, the near-tail spacing (a_B/Z)/_TAIL_CELLS, and
 # the spacing grows from one to the other over about _BEND_LENGTHS * a_B/Z.  In
 # the far tail it keeps growing, to _FAR_RATIO times the near-tail spacing over
-# about _FAR_BEND_LENGTHS * a_B/Z: level n reaches out to about n^2 a_B/Z but
-# varies only on the scale n a_B/Z there.  No step is finer than _MIN_STEP_A,
-# the decay length under the highest barrier allowed (0.002 A): bisection's
-# accuracy 4 eps |T| grows as 1/step^2, and a cutoff 0 < b below it gets the
-# convergence report's b < h note instead.
+# about _FAR_BEND_LENGTHS * a_B/Z (GridSpec's far bend, _FAR_BEND times the
+# near one): level n reaches out to about n^2 a_B/Z but varies only on the
+# scale n a_B/Z there.  No step is finer than _MIN_STEP_A, the decay length
+# under the highest barrier allowed (0.002 A): bisection's accuracy 4 eps |T|
+# grows as 1/step^2, and a cutoff 0 < b below it gets the convergence report's
+# b < h note instead.
 _SURFACE_CELLS = 16.0
 _TAIL_CELLS = 100.0
 _BEND_LENGTHS = 4.0
 _FAR_RATIO = 8.0
 _FAR_BEND_LENGTHS = 50.0
+_FAR_BEND = _FAR_BEND_LENGTHS / _BEND_LENGTHS
 _MIN_STEP_A = BOHR_ANGSTROM / math.sqrt(2.0 * INFINITE_BARRIER_EV / HARTREE_EV)
 
 # The finest digit of psi that `write_wavefunction` prints, relative to its
@@ -198,12 +200,13 @@ class GridSpec:
     """`points` nodes z(s) at equally spaced s from s_min < 0 to s_max > 0.
 
     The map z(s) = s + (r - 1)(s - L tanh(s/L)) + r (G - 1)(s - L2 tanh(s/L2)),
-    with r = `ratio`, L = `bend_A`, G = `far_ratio` and L2 = `far_bend_A`, is
+    with r = `ratio`, L = `bend_A`, G = `far_ratio` and L2 = _FAR_BEND L, is
     odd and smooth: its slope rises from 1 at s = 0 to r for L << |s| << L2
     and to r G for |s| >> L2, so the node spacing grows from the step h_A at
     the surface to about r h_A in the near tail and r G h_A in the far tail.
     ratio = far_ratio = 1 (the defaults) is the uniform grid z = s, and
-    far_ratio = 1 leaves the one-stage map s + (r - 1)(s - L tanh(s/L)).
+    far_ratio = 1 leaves the one-stage map s + (r - 1)(s - L tanh(s/L)): its
+    far term is then exactly 0.
     """
 
     s_min_A: float
@@ -212,7 +215,6 @@ class GridSpec:
     ratio: float = 1.0
     bend_A: float = 1.0
     far_ratio: float = 1.0
-    far_bend_A: float = 1.0
 
     def __post_init__(self):
         checked(self.s_min_A, "grid s_min = {} A", high=0.0, ends="[)")
@@ -224,7 +226,6 @@ class GridSpec:
         checked(self.ratio, "grid spacing ratio {}", 1.0)
         checked(self.bend_A, "grid bend {} A", 0.0, ends="(]")
         checked(self.far_ratio, "far grid spacing ratio {}", 1.0)
-        checked(self.far_bend_A, "far grid bend {} A", 0.0, ends="(]")
         checked(self.z_max_A - self.z_min_A, "grid extent {} A", 0.0, ends="(]")
 
     @property
@@ -241,11 +242,9 @@ class GridSpec:
         return float(self._mapped(self.s_max_A))
 
     def _mapped(self, s):
-        z = s + (self.ratio - 1.0) * (s - self.bend_A * np.tanh(s / self.bend_A))
-        if self.far_ratio != 1.0:
-            far = self.far_bend_A
-            z = z + self.ratio * (self.far_ratio - 1.0) * (s - far * np.tanh(s / far))
-        return z
+        near, far = self.bend_A, _FAR_BEND * self.bend_A
+        return (s + (self.ratio - 1.0) * (s - near * np.tanh(s / near))
+                + self.ratio * (self.far_ratio - 1.0) * (s - far * np.tanh(s / far)))
 
     def _cells(self):
         """Nodes, the spacings of the n + 1 cells (a ghost node beyond each end)
@@ -272,7 +271,7 @@ class GridSpec:
 
 def _lattice(s_min_A: float, s_max_A: float, h_A: float, *grid_map: float) -> GridSpec:
     """Step h covering [s_min, s_max] in s, with s = 0 (so z = 0) midway between
-    nodes, under the map (ratio, bend, far_ratio, far_bend) of GridSpec."""
+    nodes, under the map (ratio, bend, far_ratio) of GridSpec."""
     checked(h_A, "grid spacing {} A", 0.0, ends="(]")
     checked((s_max_A - s_min_A) / h_A, "grid of {} cells", 0.0, MAX_GRID_POINTS)
     m = int(math.ceil(-s_min_A / h_A - 0.5))
@@ -280,22 +279,20 @@ def _lattice(s_min_A: float, s_max_A: float, h_A: float, *grid_map: float) -> Gr
     return GridSpec(-(m + 0.5) * h_A, (p - 0.5) * h_A, m + p + 1, *grid_map)
 
 
-def _unmapped(z_A: float, ratio: float, bend_A: float, far_ratio: float,
-              far_bend_A: float) -> float:
+def _unmapped(z_A: float, ratio: float, bend_A: float, far_ratio: float) -> float:
     """The s >= 0 with z(s) = z >= 0 (see GridSpec), by Newton's method: z(s)
     is convex there and z(s) >= s, so from s = z the iterates fall to the root.
     Rounding can carry a long step past it, so it stops at the first step
     that is no shorter than the one before."""
+    far_bend_A = _FAR_BEND * bend_A
     s = z_A
     last = math.inf
     while ratio != 1.0 or far_ratio != 1.0:
         t = math.tanh(s / bend_A)
-        z = s + (ratio - 1.0) * (s - bend_A * t)
-        slope = 1.0 + (ratio - 1.0) * t * t
-        if far_ratio != 1.0:
-            t = math.tanh(s / far_bend_A)
-            z += ratio * (far_ratio - 1.0) * (s - far_bend_A * t)
-            slope += ratio * (far_ratio - 1.0) * t * t
+        u = math.tanh(s / far_bend_A)
+        z = (s + (ratio - 1.0) * (s - bend_A * t)
+             + ratio * (far_ratio - 1.0) * (s - far_bend_A * u))
+        slope = 1.0 + (ratio - 1.0) * t * t + ratio * (far_ratio - 1.0) * u * u
         step = (z - z_A) / slope
         if not abs(step) < last:
             break
@@ -305,14 +302,17 @@ def _unmapped(z_A: float, ratio: float, bend_A: float, far_ratio: float,
 
 
 def surface_grid(z_min_A: float, z_max_A: float, h_A: float, ratio: float = 1.0,
-                 bend_A: float = 1.0, far_ratio: float = 1.0,
-                 far_bend_A: float = 1.0) -> GridSpec:
+                 bend_A: float = 1.0) -> GridSpec:
     """Grid covering [z_min, z_max] with z = 0 midway between two nodes: step h
-    in s under the map (ratio, bend, far_ratio, far_bend) of GridSpec, by
-    default uniform spacing h."""
+    in s under the one-stage map (ratio, bend) of GridSpec, by default uniform
+    spacing h."""
+    return _graded(z_min_A, z_max_A, h_A, ratio, bend_A, 1.0)
+
+
+def _graded(z_min_A: float, z_max_A: float, h_A: float, *grid_map: float) -> GridSpec:
+    """`surface_grid` under the map (ratio, bend, far_ratio) of GridSpec."""
     checked(z_min_A, "grid z_min = {} A", high=0.0, ends="[)")
     checked(z_max_A, "grid z_max = {} A", 0.0, ends="(]")
-    grid_map = (ratio, bend_A, far_ratio, far_bend_A)
     return _lattice(-_unmapped(-z_min_A, *grid_map), _unmapped(z_max_A, *grid_map), h_A,
                     *grid_map)
 
@@ -352,8 +352,7 @@ def default_grid(spec: PotentialSpec, levels: int = 2, z_max_A: float | None = N
     h_max = scale / _TAIL_CELLS
     h0 = min(max(min(spec.b_A, scale) / _SURFACE_CELLS, _MIN_STEP_A), h_max)
     ratio = h_max / h0
-    return surface_grid(-20.0, z_max_A, h0, ratio, _BEND_LENGTHS * scale / ratio,
-                        _FAR_RATIO, _FAR_BEND_LENGTHS * scale / ratio)
+    return _graded(-20.0, z_max_A, h0, ratio, _BEND_LENGTHS * scale / ratio, _FAR_RATIO)
 
 
 @dataclass(frozen=True)
@@ -645,7 +644,7 @@ def _rescaled(grid: GridSpec, factor: float) -> GridSpec:
     """The same map over the same extent with the step times `factor` (z = 0
     still midway between nodes): the halved grid and each coarser one."""
     return _lattice(grid.s_min_A, grid.s_max_A, factor * grid.h_A, grid.ratio, grid.bend_A,
-                    grid.far_ratio, grid.far_bend_A)
+                    grid.far_ratio)
 
 
 def _halved(grid: GridSpec) -> GridSpec:

@@ -132,13 +132,21 @@ class TestGrid:
         # the same grid without the far stage has 17387 points
         assert default_grid(HE_SPEC, 6).points <= 17387 // 2
 
-    def test_grids_without_the_far_stage_keep_the_one_stage_map(self):
-        # the one-stage map and its Newton inverse, written out: every grid
-        # built without the far stage keeps these nodes bit for bit
-        def one_stage(s, ratio, bend):
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(z_min=st.floats(0.1, 50.0), z_max=st.floats(1.0, 3000.0), h=st.floats(0.01, 2.0),
+           ratio=st.one_of(st.just(1.0), st.floats(1.0, 500.0)), bend=st.floats(0.01, 100.0))
+    @example(20.0, 300.0, 1.6, 1.0, 1.0)
+    @example(20.0, 2300.0, 0.0388, 20.0, 15.5)
+    @example(20.0, 960.0, 0.002, 390.0, 0.8)
+    def test_grids_without_the_far_stage_keep_the_one_stage_map(self, z_min, z_max, h, ratio,
+                                                                   bend):
+        # the one-stage map and its Newton inverse as they stood before the far
+        # stage, written out: every grid built without that stage keeps these
+        # nodes bit for bit
+        def one_stage(s):
             return s + (ratio - 1.0) * (s - bend * np.tanh(s / bend))
 
-        def inverse(z, ratio, bend):
+        def inverse(z):
             s = z
             while ratio != 1.0:
                 t = math.tanh(s / bend)
@@ -148,28 +156,30 @@ class TestGrid:
                 s -= step
             return s
 
-        for z_max, h, ratio, bend in ((300.0, 1.6, 1.0, 1.0), (2300.0, 0.0388, 20.0, 15.5),
-                                      (960.0, 0.002, 390.0, 0.8)):
-            grid = surface_grid(-20.0, z_max, h, ratio, bend)
-            assert (grid.far_ratio, grid.far_bend_A) == (1.0, 1.0)
-            m = math.ceil(inverse(20.0, ratio, bend) / h - 0.5)
-            p = math.ceil(inverse(z_max, ratio, bend) / h + 0.5)
-            assert (grid.s_min_A, grid.s_max_A, grid.points) == (-(m + 0.5) * h,
-                                                                 (p - 0.5) * h, m + p + 1)
-            s = grid.s_min_A + grid.h_A * np.arange(grid.points)
-            assert np.array_equal(grid.nodes(), one_stage(s, ratio, bend))
-            for coarse in (zstates._halved(grid), zstates._rescaled(grid, 4.0)):
-                assert (coarse.ratio, coarse.bend_A, coarse.far_ratio) == (ratio, bend, 1.0)
+        m = math.ceil(inverse(z_min) / h - 0.5)
+        p = math.ceil(inverse(z_max) / h + 0.5)
+        if m + p + 1 < 3:
+            with pytest.raises(ValueError, match="grid of 2 points"):
+                surface_grid(-z_min, z_max, h, ratio, bend)
+            return
+        grid = surface_grid(-z_min, z_max, h, ratio, bend)
+        assert grid.far_ratio == 1.0
+        assert (grid.s_min_A, grid.s_max_A, grid.points) == (-(m + 0.5) * h, (p - 0.5) * h,
+                                                             m + p + 1)
+        s = grid.s_min_A + grid.h_A * np.arange(grid.points)
+        assert np.array_equal(grid.nodes(), one_stage(s))
+        halved = zstates._halved(grid)
+        assert (halved.ratio, halved.bend_A, halved.far_ratio) == (ratio, bend, 1.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(z=st.floats(1e-3, 1e6), ratio=st.floats(1.0, 500.0), bend=st.floats(0.01, 100.0),
-           far_ratio=st.floats(1.0, 16.0), far_bend=st.floats(0.1, 1000.0))
-    def test_unmapped_inverts_the_two_stage_map(self, z, ratio, bend, far_ratio, far_bend):
-        s = zstates._unmapped(z, ratio, bend, far_ratio, far_bend)
+           far_ratio=st.floats(1.0, 16.0))
+    def test_unmapped_inverts_the_two_stage_map(self, z, ratio, bend, far_ratio):
+        s = zstates._unmapped(z, ratio, bend, far_ratio)
         assert 0.0 < s <= z
         # z(s) sums terms up to (ratio * far_ratio) s, and each s - L tanh(s/L)
         # cancels where s << L: a few of that term's ulps is rounding
-        grid = GridSpec(-1.0, 1.0, 3, ratio, bend, far_ratio, far_bend)
+        grid = GridSpec(-1.0, 1.0, 3, ratio, bend, far_ratio)
         assert abs(float(grid._mapped(s)) - z) <= 4.0 * math.ulp(ratio * far_ratio * s)
 
     def test_every_grid_used_here_fits_with_its_halving(self):

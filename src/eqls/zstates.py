@@ -204,9 +204,9 @@ class GridSpec:
     odd and smooth: its slope rises from 1 at s = 0 to r for L << |s| << L2
     and to r G for |s| >> L2, so the node spacing grows from the step h_A at
     the surface to about r h_A in the near tail and r G h_A in the far tail.
-    ratio = far_ratio = 1 (the defaults) is the uniform grid z = s, and
-    far_ratio = 1 leaves the one-stage map s + (r - 1)(s - L tanh(s/L)): its
-    far term is then exactly 0.
+    The package builds two kinds: the uniform grid z = s of `surface_grid`
+    (ratio = far_ratio = 1, the defaults) and the two-stage grid of
+    `default_grid`.
     """
 
     s_min_A: float
@@ -287,7 +287,7 @@ def _unmapped(z_A: float, ratio: float, bend_A: float, far_ratio: float) -> floa
     far_bend_A = _FAR_BEND * bend_A
     s = z_A
     last = math.inf
-    while ratio != 1.0 or far_ratio != 1.0:
+    while True:
         t = math.tanh(s / bend_A)
         u = math.tanh(s / far_bend_A)
         z = (s + (ratio - 1.0) * (s - bend_A * t)
@@ -301,20 +301,12 @@ def _unmapped(z_A: float, ratio: float, bend_A: float, far_ratio: float) -> floa
     return s
 
 
-def surface_grid(z_min_A: float, z_max_A: float, h_A: float, ratio: float = 1.0,
-                 bend_A: float = 1.0) -> GridSpec:
-    """Grid covering [z_min, z_max] with z = 0 midway between two nodes: step h
-    in s under the one-stage map (ratio, bend) of GridSpec, by default uniform
-    spacing h."""
-    return _graded(z_min_A, z_max_A, h_A, ratio, bend_A, 1.0)
-
-
-def _graded(z_min_A: float, z_max_A: float, h_A: float, *grid_map: float) -> GridSpec:
-    """`surface_grid` under the map (ratio, bend, far_ratio) of GridSpec."""
+def surface_grid(z_min_A: float, z_max_A: float, h_A: float) -> GridSpec:
+    """Uniform grid of spacing h covering [z_min, z_max], with z = 0 midway
+    between two nodes."""
     checked(z_min_A, "grid z_min = {} A", high=0.0, ends="[)")
     checked(z_max_A, "grid z_max = {} A", 0.0, ends="(]")
-    return _lattice(-_unmapped(-z_min_A, *grid_map), _unmapped(z_max_A, *grid_map), h_A,
-                    *grid_map)
+    return _lattice(z_min_A, z_max_A, h_A)
 
 
 def hydrogenic_charge(eps_r: float) -> float:
@@ -352,7 +344,9 @@ def default_grid(spec: PotentialSpec, levels: int = 2, z_max_A: float | None = N
     h_max = scale / _TAIL_CELLS
     h0 = min(max(min(spec.b_A, scale) / _SURFACE_CELLS, _MIN_STEP_A), h_max)
     ratio = h_max / h0
-    return _graded(-20.0, z_max_A, h0, ratio, _BEND_LENGTHS * scale / ratio, _FAR_RATIO)
+    grid_map = (ratio, _BEND_LENGTHS * scale / ratio, _FAR_RATIO)
+    checked(z_max_A, "grid z_max = {} A", 0.0, ends="(]")
+    return _lattice(-_unmapped(20.0, *grid_map), _unmapped(z_max_A, *grid_map), h0, *grid_map)
 
 
 @dataclass(frozen=True)

@@ -133,43 +133,28 @@ class TestGrid:
         assert default_grid(HE_SPEC, 6).points <= 17387 // 2
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(z_min=st.floats(0.1, 50.0), z_max=st.floats(1.0, 3000.0), h=st.floats(0.01, 2.0),
-           ratio=st.one_of(st.just(1.0), st.floats(1.0, 500.0)), bend=st.floats(0.01, 100.0))
-    @example(20.0, 300.0, 1.6, 1.0, 1.0)
-    @example(20.0, 2300.0, 0.0388, 20.0, 15.5)
-    @example(20.0, 960.0, 0.002, 390.0, 0.8)
-    def test_grids_without_the_far_stage_keep_the_one_stage_map(self, z_min, z_max, h, ratio,
-                                                                   bend):
-        # the one-stage map and its Newton inverse as they stood before the far
-        # stage, written out: every grid built without that stage keeps these
-        # nodes bit for bit
-        def one_stage(s):
-            return s + (ratio - 1.0) * (s - bend * np.tanh(s / bend))
-
-        def inverse(z):
-            s = z
-            while ratio != 1.0:
-                t = math.tanh(s / bend)
-                step = (s + (ratio - 1.0) * (s - bend * t) - z) / (1.0 + (ratio - 1.0) * t * t)
-                if not s - step < s:
-                    break
-                s -= step
-            return s
-
-        m = math.ceil(inverse(z_min) / h - 0.5)
-        p = math.ceil(inverse(z_max) / h + 0.5)
+    @given(z_min=st.floats(0.1, 50.0), z_max=st.floats(1.0, 3000.0), h=st.floats(0.01, 2.0))
+    @example(20.0, 300.0, 1.6)
+    @example(0.1, 1.0, 2.0)                 # two nodes: too small
+    def test_surface_grid_is_uniform(self, z_min, z_max, h):
+        m = math.ceil(z_min / h - 0.5)
+        p = math.ceil(z_max / h + 0.5)
         if m + p + 1 < 3:
             with pytest.raises(ValueError, match="grid of 2 points"):
-                surface_grid(-z_min, z_max, h, ratio, bend)
+                surface_grid(-z_min, z_max, h)
             return
-        grid = surface_grid(-z_min, z_max, h, ratio, bend)
-        assert grid.far_ratio == 1.0
+        grid = surface_grid(-z_min, z_max, h)
         assert (grid.s_min_A, grid.s_max_A, grid.points) == (-(m + 0.5) * h, (p - 0.5) * h,
                                                              m + p + 1)
+        # the ends cover [-z_min, z_max] to the rounding of the cell count
+        assert -grid.z_min_A >= z_min - 4.0 * math.ulp(z_min)
+        assert grid.z_max_A >= z_max - 4.0 * math.ulp(z_max)
         s = grid.s_min_A + grid.h_A * np.arange(grid.points)
-        assert np.array_equal(grid.nodes(), one_stage(s))
+        assert np.array_equal(grid.nodes(), s)
         halved = zstates._halved(grid)
-        assert (halved.ratio, halved.bend_A, halved.far_ratio) == (ratio, bend, 1.0)
+        assert (halved.ratio, halved.bend_A, halved.far_ratio) == (1.0, 1.0, 1.0)
+        assert np.array_equal(halved.nodes(),
+                              halved.s_min_A + halved.h_A * np.arange(halved.points))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(z=st.floats(1e-3, 1e6), ratio=st.floats(1.0, 500.0), bend=st.floats(0.01, 100.0),

@@ -28,6 +28,8 @@ def test_a_clear_gain_reads_better():
     # the same gain in 8 of 10 pairs is no claim
     v = ab.verdict(base, head[:8] + base[8:], "higher", 0.25)
     assert (v["verdict"], v["head_wins"]) == ("within bound", 8)
+    # and 9 pairs are too few to claim it
+    assert ab.verdict(base[:9], head[:9], "higher", 0.25)["verdict"] == "within bound"
 
 
 def test_a_regression_past_the_bound_reads_worse():

@@ -137,6 +137,17 @@ class TestStates:
         header = files[0].read_text().splitlines()[0]
         assert header.startswith("# z_nm psi_nm^-1/2 state=1")
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+    def test_dump_to_an_unwritable_path_exits_2(self, capsys, tmp_path, under):
+        # an existing file, and a directory under a file: no directory can be made
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        code, out, err = run(capsys, "states", "--substance", "liquid 4He", "--levels", "1",
+                             "--dump-psi", str(blocker / under))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write wavefunctions to ") and err.count("\n") == 1
+        assert blocker.read_text() == "kept\n"
+
     def test_pressing_field_shifts_ground_state(self, capsys):
         _, out0, _ = run(capsys, "states", "--substance", "liquid 4He",
                          "--levels", "1", "--format", "csv")

@@ -1035,32 +1035,79 @@ class TestExactLevels:
 
 
 class TestPressingFieldOracle:
-    """`states --field` against the ground level found by shooting (`shooting.py`)."""
+    """`states --field` against the levels found by shooting (`shooting.py`)."""
+
+    SURFACES = st.sampled_from(["liquid 3He", "liquid 4He", "solid Ne", "solid H2", "solid HD",
+                                "solid D2"])
+
+    @staticmethod
+    def printed(tmp_path_factory, argv):
+        out = tmp_path_factory.mktemp("field") / "out.json"
+        assert cli.main(["states", *argv, "--format", "json", "--output", str(out)]) == 0
+        return [row["energy_meV"] for row in json.loads(out.read_text())["rows"]]
+
+    @staticmethod
+    def shot(surface, field, e, k, scale, b_A=None):
+        """Shooting's level k, bracketed by the printed e +- 1% of the scale."""
+        return shooting.level(surface.barrier_v0_ev, surface.dielectric_constant,
+                              surface.scattering_length_A if b_A is None else b_A, field,
+                              e - 0.01 * scale, e + 0.01 * scale, k)
 
     def test_shooting_matches_the_exact_level_at_zero_field(self):
         (exact,) = regularized_image_levels(1.1, 1.056, 0.62, 1)
-        level = shooting.ground_level(1.1, 1.056, 0.62, 0.0, 1.01 * exact, 0.99 * exact)
+        level = shooting.level(1.1, 1.056, 0.62, 0.0, 1.01 * exact, 0.99 * exact)
         assert level == pytest.approx(exact, rel=1e-10)
 
+    @pytest.mark.parametrize("eps", [1.056, 1.4])
+    def test_shooting_matches_the_exact_excited_and_hard_wall_levels(self, eps):
+        exact = regularized_image_levels(1.1, eps, 0.62, 2)[1]
+        level = shooting.level(1.1, eps, 0.62, 0.0, 1.01 * exact, 0.99 * exact, k=1)
+        assert level == pytest.approx(exact, rel=1e-10)
+        # b = 0 is the exact wall, whose levels are -Z^2/2n^2 at zero field
+        for k, exact in enumerate(hydrogenic_levels(eps, 2)):
+            level = shooting.level(1e6, eps, 0.0, 0.0, 1.01 * exact, 0.99 * exact, k)
+            assert level == pytest.approx(exact, rel=1e-10)
+
     @settings(max_examples=3, deadline=None, derandomize=True)
-    @given(name=st.sampled_from(["liquid 3He", "liquid 4He", "solid Ne", "solid H2",
-                                 "solid HD", "solid D2"]),
-           field=st.floats(0.0, 1e5))
+    @given(name=SURFACES, field=st.floats(0.0, 1e5))
     @example(name="liquid 3He", field=1e5)      # the widest image tail, pressed hardest
     def test_printed_ground_level_matches_shooting(self, registry, tmp_path_factory, name,
                                                    field):
-        out = tmp_path_factory.mktemp("field") / "out.json"
-        assert cli.main(["states", "--substance", name, "--levels", "1", "--field",
-                         repr(field), "--format", "json", "--output", str(out)]) == 0
-        (row,) = json.loads(out.read_text())["rows"]
+        (e,) = self.printed(tmp_path_factory, ["--substance", name, "--levels", "1",
+                                               "--field", repr(field)])
         surface = registry.get_surface(name)
         # the field carries E through 0, so the scale is the field-free level's
         scale = abs(float(hydrogenic_levels(surface.dielectric_constant, 1)[0]))
-        e = row["energy_meV"]
-        level = shooting.ground_level(surface.barrier_v0_ev, surface.dielectric_constant,
-                                      surface.scattering_length_A, field,
-                                      e - 0.01 * scale, e + 0.01 * scale)
+        level = self.shot(surface, field, e, 0, scale)
         assert abs(e - level) <= 1e-5 * max(abs(level), scale)
+
+    @settings(max_examples=1, deadline=None, derandomize=True)
+    @given(name=SURFACES, field=st.floats(0.0, 1e5))
+    @example(name="liquid 3He", field=1e5)
+    def test_printed_second_level_matches_shooting(self, registry, tmp_path_factory, name,
+                                                   field):
+        _, e = self.printed(tmp_path_factory, ["--substance", name, "--levels", "2",
+                                               "--field", repr(field)])
+        surface = registry.get_surface(name)
+        scale = abs(float(hydrogenic_levels(surface.dielectric_constant, 2)[1]))
+        level = self.shot(surface, field, e, 1, scale)
+        assert abs(e - level) <= 1e-5 * max(abs(level), scale)
+
+    @settings(max_examples=1, deadline=None, derandomize=True)
+    @given(name=SURFACES, field=st.floats(0.0, 1e5))
+    @example(name="solid D2", field=1e5)        # the largest eps: the stand-in's worst
+    def test_printed_hard_wall_ground_level_matches_the_exact_wall(self, registry,
+                                                                   tmp_path_factory, name,
+                                                                   field):
+        # the 1 MeV stand-in puts the level up to 6.2e-4 below the exact wall's,
+        # the bound of test_hard_wall_default_grids_match_hydrogenic
+        (e,) = self.printed(tmp_path_factory, ["--substance", name, "--levels", "1",
+                                               "--field", repr(field), "--b", "0",
+                                               "--v0", "1e6"])
+        surface = registry.get_surface(name)
+        scale = abs(float(hydrogenic_levels(surface.dielectric_constant, 1)[0]))
+        level = self.shot(surface, field, e, 0, scale, b_A=0.0)
+        assert abs(e - level) <= 1e-3 * max(abs(level), scale)
 
 
 class TestWavefunctionDump:

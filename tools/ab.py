@@ -15,8 +15,9 @@ neither) and a verdict against the metric's bound in BENCHMARK.json:
 
   worse        the head's median is worse than the base's by more than
                the bound (relative to the base's median);
-  better       the head won at least 9 in 10 pairs and the medians differ
-               by more than the base's interquartile range;
+  better       over at least 10 pairs, the head won at least 9 in 10 and
+               the medians differ by more than the base's interquartile
+               range;
   unresolved   neither, and the base's interquartile range is wider than
                the bound, unless every head run beats every base run;
   within bound otherwise.
@@ -38,7 +39,8 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-GAIN_SHARE = 0.9        # share of pairs the head must win to read "better"
+GAIN_PAIRS = 10         # pairs needed to read "better" ...
+GAIN_SHARE = 0.9        # ... and the share of them the head must win
 
 
 class ABError(RuntimeError):
@@ -71,7 +73,8 @@ def verdict(base: list[float], head: list[float], better: str, bound: float) -> 
     all_better = max(sign * h for h in head) < min(sign * b for b in base)
     if worse_by > bound:
         result = "worse"
-    elif worse_by < 0.0 and wins >= GAIN_SHARE * len(base) and abs(h_med - b_med) > b3 - b1:
+    elif (len(base) >= GAIN_PAIRS and wins >= GAIN_SHARE * len(base) and worse_by < 0.0
+          and abs(h_med - b_med) > b3 - b1):
         result = "better"
     elif spread > bound and not all_better:
         result = "unresolved"
@@ -124,10 +127,6 @@ def run_once(command: list[str], tree: Path, workload: str, seed: int,
     return json.loads(lines[-1]), json.loads(lines[-2])
 
 
-def _values(summary: dict) -> dict:
-    return {name: m["value"] for name, m in summary["metrics"].items()}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True)
@@ -159,7 +158,7 @@ def main(argv=None) -> int:
                     summary, report = run_once(bench["command"], trees[side], args.workload,
                                                seed, args.seconds)
                     environment = environment or report["environment"]
-                    pair[side] = _values(summary)
+                    pair[side] = {n: m["value"] for n, m in summary["metrics"].items()}
                     pair[f"{side}_ops"] = {"attempted": summary["attempted"],
                                            "failed": summary["failed"],
                                            "correct": summary["correct"]}

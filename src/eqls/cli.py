@@ -225,6 +225,8 @@ def _cmd_states(args) -> int:
     if args.dump_psi:
         outdir = Path(args.dump_psi)
         stem = sf.name.replace(" ", "_")
+        for sep in filter(None, (os.sep, os.altsep)):     # a name is no path
+            stem = stem.replace(sep, "_")
         try:
             outdir.mkdir(parents=True, exist_ok=True)
             for k, st in enumerate(result.states):

@@ -34,9 +34,10 @@ halved grid of the convergence report and each Richardson level, and the
 previous field's ground state, for each Stark field.  Grids under 256
 points (64 coarse points) per level skip the coarse step.  So a fresh
 solve descends 4x at a time to the first grid under 256 points per level,
-bisects that one, and climbs back up by refines; a level whose refine
-fails bisects that level alone.  `_refine` interpolates the vectors onto
-the grid (unless they are sampled on it already) and runs
+bisects that one, and climbs back up by refines; a refine that fails
+bisects all levels of its own grid, and the finer grids still refine.
+`_refine` interpolates the vectors linearly from their grid onto this one
+(bit for bit where the two are one, as for a Stark field) and runs
 Rayleigh-quotient iteration from the known energies, then certifies the
 result: every residual r bounds the distance to an eigenvalue, the
 intervals rho +- r are disjoint, each r^2/gap is within bisection's own
@@ -62,6 +63,7 @@ screened over the sub-Angstrom penetration depth).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Union
@@ -246,27 +248,25 @@ class GridSpec:
         return (s + (self.ratio - 1.0) * (s - near * np.tanh(s / near))
                 + self.ratio * (self.far_ratio - 1.0) * (s - far * np.tanh(s / far)))
 
+    @functools.cached_property
     def _cells(self):
         """Nodes, the spacings of the n + 1 cells (a ghost node beyond each end)
-        and the weights w_i = (h_{i-1} + h_i)/2, all in A: built on the first
-        call, then shared read-only."""
-        cells = self.__dict__.get("_cells_A")
-        if cells is None:
-            z = self._mapped(self.s_min_A + self.h_A * np.arange(-1, self.points + 1))
-            h = np.diff(z)
-            cells = z[1:-1], h, 0.5 * (h[:-1] + h[1:])
-            for a in cells:
-                a.flags.writeable = False
-            object.__setattr__(self, "_cells_A", cells)
+        and the weights w_i = (h_{i-1} + h_i)/2, all in A: built on first use,
+        then shared read-only."""
+        z = self._mapped(self.s_min_A + self.h_A * np.arange(-1, self.points + 1))
+        h = np.diff(z)
+        cells = z[1:-1], h, 0.5 * (h[:-1] + h[1:])
+        for a in cells:
+            a.flags.writeable = False
         return cells
 
     def nodes(self) -> np.ndarray:
         """The node positions in A: built on the first call, then shared read-only."""
-        return self._cells()[0]
+        return self._cells[0]
 
     def weights(self) -> np.ndarray:
         """Each node's share of the line, (h_{i-1} + h_i)/2 in A: sum(psi^2 w) = 1."""
-        return self._cells()[2]
+        return self._cells[2]
 
 
 def _lattice(s_min_A: float, s_max_A: float, h_A: float, *grid_map: float) -> GridSpec:
@@ -428,8 +428,8 @@ def _count_nodes(psi: np.ndarray) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
-def _hamiltonian(grid: GridSpec, v_ev: np.ndarray):
-    """The finite-difference Hamiltonian, in Hartree with lengths in A.
+def _hamiltonian(profile: PotentialProfile):
+    """The finite-difference Hamiltonian of a profile, in Hartree with lengths in A.
 
     Returns the couplings c = hbar^2/(2 m_e h) of the n + 1 cells, sqrt(w) at
     the nodes, the potential, and the diagonal and off-diagonal of the
@@ -439,14 +439,14 @@ def _hamiltonian(grid: GridSpec, v_ev: np.ndarray):
     which on a uniform grid is the centred difference.  Its eigenvectors are
     phi = W^1/2 psi, unit vectors where sum psi^2 w = 1.
     """
-    _, h, w = grid._cells()
+    _, h, w = profile.grid._cells
     c = 0.5 * BOHR_ANGSTROM**2 / h      # c/w <= 1/h^2 in Hartree: normal, see GridSpec
     root = np.sqrt(w)
-    pot = v_ev / HARTREE_EV
+    pot = profile.samples_ev / HARTREE_EV
     return c, root, pot, (c[:-1] + c[1:]) / w + pot, -c[1:-1] / (root[:-1] * root[1:])
 
 
-def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
+def _eigensolve(profile: PotentialProfile, count: int):
     """Lowest `count` eigenpairs in (eV, psi with sum psi^2 w = 1).
 
     Bisection (stebz) for the energies, then inverse iteration (stein) one
@@ -458,12 +458,12 @@ def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
     lapack = compiled("scipy.linalg._flapack")
     dstebz, dstein = lapack.dstebz, lapack.dstein
 
-    _, root, _, diag, off = _hamiltonian(grid, v_ev)
+    _, root, _, diag, off = _hamiltonian(profile)
     found, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, 1, count, 0.0, b"B")
     if info != 0 or found != count:
         raise SolverError(f"bisection found {found} of states 0..{count - 1} (info {info})")
     order = np.argsort(w[:count], kind="stable")
-    vecs = np.empty((grid.points, count), order="F")
+    vecs = np.empty((profile.grid.points, count), order="F")
     block = np.empty_like(iblock)        # stein reads the block of its one energy here
     for k, j in enumerate(order):
         block[0] = iblock[j]
@@ -474,37 +474,36 @@ def _eigensolve(grid: GridSpec, v_ev: np.ndarray, count: int):
     return w[order] * HARTREE_EV, vecs / root[:, None]
 
 
-def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
-            start_vecs: np.ndarray, energies_only: bool = False):
+def _refine(profile: PotentialProfile, seeds_ev, seed_grid: GridSpec, seed_vecs: np.ndarray,
+            energies_only: bool = False):
     """Lowest `len(seeds_ev)` eigenpairs near the seed energies, certified.
 
     Same (eV, psi with sum psi^2 w = 1) form as `_eigensolve`.  Column k
-    of `start_vecs`, sampled at `start_z`, is interpolated onto the grid
-    (taken as it is if `start_z` are the grid's nodes) and run through
-    Rayleigh-quotient iteration (gtsv), one solve per level and sweep: the
-    first shift is seed k, each later one the Rayleigh quotient, until the
-    unit vector phi = W^1/2 psi moves by at most _REFINE_STEP, in at most
-    _MAX_REFINE_SOLVES sweeps.  Rayleigh quotient and residual use the
-    fluxes c_i (psi_{i+1} - psi_i), so the 1/h^2 diagonal never cancels.
-    The pairs are certified as the lowest ones to within the bisection
-    accuracy acc = 4 eps |T|_1: every interval rho_k +- r_k holds an
-    eigenvalue, the intervals are disjoint, each r^2/gap is at most acc, and
-    one Sturm count (stebz) finds exactly m eigenvalues below rho_top + g.
-    With `energies_only`, every sweep is certified and the first that passes
-    is returned, whether or not its vectors have come to rest.  Raises
-    SolverError otherwise.
+    of `seed_vecs`, sampled at the nodes of `seed_grid`, is interpolated
+    linearly onto the profile's grid (which returns it bit for bit when the
+    two grids are one) and run through Rayleigh-quotient iteration (gtsv),
+    one solve per level and sweep: the first shift is seed k, each later one
+    the Rayleigh quotient, until the unit vector phi = W^1/2 psi moves by at
+    most _REFINE_STEP, in at most _MAX_REFINE_SOLVES sweeps.  Rayleigh
+    quotient and residual use the fluxes c_i (psi_{i+1} - psi_i), so the
+    1/h^2 diagonal never cancels.  The pairs are certified as the lowest
+    ones to within the bisection accuracy acc = 4 eps |T|_1: every interval
+    rho_k +- r_k holds an eigenvalue, the intervals are disjoint, each
+    r^2/gap is at most acc, and one Sturm count (stebz) finds exactly m
+    eigenvalues below rho_top + g.  With `energies_only`, every sweep is
+    certified and the first that passes is returned, whether or not its
+    vectors have come to rest.  Raises SolverError otherwise.
     """
     lapack = compiled("scipy.linalg._flapack")
     dgtsv, dstebz = lapack.dgtsv, lapack.dstebz
 
-    n, m = grid.points, len(seeds_ev)
-    c, root, pot, diag, off = _hamiltonian(grid, v_ev)
+    n, m = profile.grid.points, len(seeds_ev)
+    c, root, pot, diag, off = _hamiltonian(profile)
     rows = np.abs(diag)
     rows[1:] -= off
     rows[:-1] -= off
     acc = 4.0 * np.finfo(float).eps * float(np.max(rows))
     scale = 1.0 / root
-    z = grid.nodes()
     flux = np.empty(n + 1)          # c (psi_{i+1} - psi_i), with psi 0 beyond both ends
 
     def quotient(phi):
@@ -547,10 +546,9 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
     shift = np.asarray(seeds_ev, dtype=float) / HARTREE_EV
     rho = np.empty(m)
     r = np.empty(m)
-    sampled = np.array_equal(start_z, z)       # e.g. the previous Stark field's state
+    z, seed_z = profile.grid.nodes(), seed_grid.nodes()
     for k in range(m):
-        col = start_vecs[:, k]
-        vecs[:, k] = unit((col if sampled else np.interp(z, start_z, col)) * root, k)
+        vecs[:, k] = unit(np.interp(z, seed_z, seed_vecs[:, k]) * root, k)
     moving = list(range(m))
     for _ in range(_MAX_REFINE_SOLVES):
         for k in list(moving):
@@ -582,37 +580,36 @@ def _refine(grid: GridSpec, v_ev: np.ndarray, seeds_ev, start_z: np.ndarray,
                       f"in {_MAX_REFINE_SOLVES} linear solves")
 
 
-def _eigenpairs(spec: PotentialSpec, grid: GridSpec, v_ev: np.ndarray, count: int,
-                start=None, energies_only: bool = False):
-    """Lowest `count` eigenpairs of `v_ev`, which samples `spec` on `grid`.
+def _eigenpairs(profile: PotentialProfile, count: int, start=None,
+                energies_only: bool = False):
+    """Lowest `count` eigenpairs of a profile.
 
     Same (eV, psi with sum psi^2 w = 1) form as `_eigensolve`, from the
     first step of this ladder that returns:
-      1. `_refine` from `start`, eigenpairs in hand (energies in eV, nodes,
-         one vector column per state), if given;
+      1. `_refine` from `start`, eigenpairs in hand (energies in eV, their
+         grid, one vector column per state), if given;
       2. solve the grid 4x coarser by this same ladder, stopping at its
          first certified energies, and `_refine` from its eigenpairs, if
-         `grid` has at least 4 * _COARSE_POINTS_PER_LEVEL points per level;
-      3. bisect `grid` itself.
+         the grid has at least 4 * _COARSE_POINTS_PER_LEVEL points per level;
+      3. bisect the grid itself.
     So a fresh solve bisects only the coarsest grid of its cascade and
-    climbs back by refines, and a level whose refine fails bisects that
-    level alone.  Both refines stop at the first certified energies with
-    `energies_only`.
+    climbs back by refines, and a refine that fails bisects all `count`
+    levels of its own grid, while the finer grids above it still refine.
+    Both refines stop at the first certified energies with `energies_only`.
     """
     if start is not None:
         try:
-            return _refine(grid, v_ev, *start, energies_only)
+            return _refine(profile, *start, energies_only)
         except SolverError:
             pass        # solve outside the handler, so the traceback frees _refine's arrays
-    if grid.points >= 4 * _COARSE_POINTS_PER_LEVEL * count:
-        coarse = _rescaled(grid, 4.0)
-        seeds, vecs = _eigenpairs(spec, coarse, build_potential(spec, coarse).samples_ev,
-                                  count, energies_only=True)
+    if profile.grid.points >= 4 * _COARSE_POINTS_PER_LEVEL * count:
+        coarse = build_potential(profile.source, _rescaled(profile.grid, 4.0))
+        seeds, vecs = _eigenpairs(coarse, count, energies_only=True)
         try:
-            return _refine(grid, v_ev, seeds, coarse.nodes(), vecs, energies_only)
+            return _refine(profile, seeds, coarse.grid, vecs, energies_only)
         except SolverError:
             pass
-    return _eigensolve(grid, v_ev, count)
+    return _eigensolve(profile, count)
 
 
 def _max_levels(grid: GridSpec) -> int:
@@ -620,9 +617,10 @@ def _max_levels(grid: GridSpec) -> int:
     return min(grid.points, MAX_EIGENVECTOR_BLOCK // grid.points)
 
 
-def _is_bound(grid: GridSpec, v_ev: np.ndarray, e_ev: float, psi: np.ndarray) -> bool:
+def _is_bound(profile: PotentialProfile, e_ev: float, psi: np.ndarray) -> bool:
     """Below the potential ceiling at the far wall, and not leaning on a wall."""
-    if e_ev >= v_ev[-1]:
+    grid = profile.grid
+    if e_ev >= profile.samples_ev[-1]:
         return False
     mass = psi**2 * grid.weights()
     right = int(max(2, round(_EDGE_FRACTION * grid.points)))
@@ -641,10 +639,6 @@ def _rescaled(grid: GridSpec, factor: float) -> GridSpec:
                     grid.far_ratio)
 
 
-def _halved(grid: GridSpec) -> GridSpec:
-    return _rescaled(grid, 0.5)
-
-
 def solve_bound_states(profile: PotentialProfile, count: int,
                        report_convergence: bool = True, *,
                        _seed=None) -> SolveResult:
@@ -661,23 +655,22 @@ def solve_bound_states(profile: PotentialProfile, count: int,
     its leading term at no extra solve.  Other levels, and psi, nodes and
     <z> always, are those of the grid given.  Both grids are solved by
     `_eigenpairs`: the base grid from `_seed` if given (private: a nearby
-    solve's energies in eV, nodes and vector columns, as `stark_scan`
+    solve's energies in eV, grid and vector columns, as `stark_scan`
     passes), the halved grid from the base eigenpairs, stopping as soon as
     its energies certify, since its vectors are not kept.
     """
     checked(count, f"count {{}} on a {profile.grid.points}-point grid", 1,
             _max_levels(profile.grid))
     # built first, so that a halving grid over the point cap fails before any solve
-    fine = _halved(profile.grid) if report_convergence else None
-    energies, vecs = _eigenpairs(profile.source, profile.grid, profile.samples_ev, count,
-                                 _seed)
+    fine = _rescaled(profile.grid, 0.5) if report_convergence else None
+    energies, vecs = _eigenpairs(profile, count, _seed)
     z = profile.grid.nodes()
     weights = profile.grid.weights()
     kept = []
     warnings = list(profile.warnings)
     for k in range(count):
         psi = vecs[:, k]
-        if not _is_bound(profile.grid, profile.samples_ev, energies[k], psi):
+        if not _is_bound(profile, energies[k], psi):
             break
         if psi[np.argmax(np.abs(psi))] < 0:
             psi = -psi
@@ -693,8 +686,8 @@ def solve_bound_states(profile: PotentialProfile, count: int,
         source = profile.source
         try:
             seeded = max(1, len(kept))
-            fine_e, _ = _eigenpairs(source, fine, build_potential(source, fine).samples_ev,
-                                    seeded, (energies[:seeded], z, vecs[:, :seeded]),
+            fine_e, _ = _eigenpairs(build_potential(source, fine), seeded,
+                                    (energies[:seeded], profile.grid, vecs[:, :seeded]),
                                     energies_only=True)
             change = tuple((e - float(fine_e[k]) * 1e3) for k, (e, *_) in enumerate(kept))
         except SolverError:
@@ -750,12 +743,12 @@ def richardson_energies(spec: PotentialSpec, grid: GridSpec,
     start = None
     for k in range(halvings + 1):
         if k:
-            grid = _halved(grid)
+            grid = _rescaled(grid, 0.5)
         count = checked(state + 1, f"{{}} levels up to state {state} on a {grid.points}-point "
                         f"grid", 1, _max_levels(grid))
-        e, vecs = _eigenpairs(spec, grid, build_potential(spec, grid).samples_ev, count, start)
+        e, vecs = _eigenpairs(build_potential(spec, grid), count, start)
         out.append(float(e[state]) * 1e3)
-        start = (e, grid.nodes(), vecs)
+        start = (e, grid, vecs)
     return out
 
 
@@ -791,7 +784,7 @@ def stark_scan(spec: PotentialSpec, fields_v_per_m: "list[float]",
         if result.states:
             state = result.states[0]
             out.append(StarkPoint(field, state))
-            seed = ((state.energy_mev * 1e-3,), state.z_A, state.psi[:, None])
+            seed = ((state.energy_mev * 1e-3,), grid, state.psi[:, None])
         else:
             out.append(StarkPoint(field, None, "no bound state"))
             seed = None

@@ -46,9 +46,9 @@ def bisected(monkeypatch):
     grids = []
     eigensolve = zstates._eigensolve
 
-    def counted(grid, *args):
-        grids.append(grid)
-        return eigensolve(grid, *args)
+    def counted(profile, *args):
+        grids.append(profile.grid)
+        return eigensolve(profile, *args)
 
     monkeypatch.setattr(zstates, "_eigensolve", counted)
     return grids

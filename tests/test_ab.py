@@ -103,3 +103,31 @@ def test_pairs_alternate_and_runs_merge_by_workload(tmp_path, monkeypatch):
     assert ab.main(["--base", "A", "--head", "C", "--pairs", "1", "--seconds", "2",
                     "--workload", "phase-map", "--out", str(out)]) == 1
     assert json.loads(out.read_text()) == doc
+
+
+def test_each_side_records_its_package_line_count(tmp_path, monkeypatch):
+    sizes = {"A": {"a.py": 3, "b.py": 2}, "B": {"a.py": 4}}
+
+    def export(repo, rev, dest):
+        package = dest / "src" / "eqls"
+        (package / "data").mkdir(parents=True)
+        for name, count in sizes[rev].items():
+            (package / name).write_text("x = 1\n" * count)
+        (package / "data" / "c.py").write_text("not counted\n")
+        (dest / "tools").mkdir()
+        (dest / "tools" / "d.py").write_text("not counted\n")
+        return rev.lower() * 40
+
+    def run_once(command, tree, workload, seed, seconds):
+        metrics = {m["name"]: {"value": 1.0} for m in END_TO_END}
+        return ({"metrics": metrics, "attempted": 1, "failed": 0, "correct": True},
+                {"environment": {}})
+
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    assert ab.main(["--base", "A", "--head", "B", "--pairs", "1", "--seconds", "1",
+                    "--workload", "phase-map", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["base"]["src_lines"], doc["head"]["src_lines"]) == (5, 4)
+    assert doc["head"] == {"rev": "B", "commit": "b" * 40, "src_lines": 4}

@@ -148,6 +148,22 @@ class TestStates:
         assert err.startswith("error: cannot write wavefunctions to ") and err.count("\n") == 1
         assert blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("name", ["../escaped", "He/film"])
+    def test_dump_stays_inside_its_directory(self, capsys, tmp_path, name):
+        # a surface name is no path: each separator becomes "_" in the file name
+        doc = json.loads(json.dumps(BUNDLED))
+        doc["surfaces"] = [dict(doc["surfaces"][0], name=name)]
+        registry = tmp_path / "substances.json"
+        registry.write_text(json.dumps(doc), encoding="utf-8")
+        outdir = tmp_path / "run" / "psi"
+        code, _, err = run(capsys, "states", "--substances", str(registry), "--substance",
+                           name, "--levels", "1", "--dump-psi", str(outdir))
+        assert (code, err) == (0, "")
+        stem = name.replace("/", "_")
+        assert [p.name for p in outdir.iterdir()] == [f"{stem}_state1.dat"]
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "run", "run/psi", f"run/psi/{stem}_state1.dat", "substances.json"]
+
     def test_pressing_field_shifts_ground_state(self, capsys):
         _, out0, _ = run(capsys, "states", "--substance", "liquid 4He",
                          "--levels", "1", "--format", "csv")
@@ -197,6 +213,24 @@ class TestStates:
         assert len(rows) == 4
         for row, e in zip(rows, exact):
             assert float(row["energy_meV"]) == pytest.approx(e, rel=1e-3)
+
+
+# stdout of the solving commands, stored byte for byte: every table2/states
+# number stays equal at its printed precision
+SOLVE_GOLDENS = {
+    "table2_residuals.csv": ("table2", "--residuals", "--format", "csv"),
+    "states_Ne_6_field3e4.csv": ("states", "--substance", "Ne", "--levels", "6",
+                                 "--field", "3e4", "--format", "csv"),
+    "states_4He_hard_wall_4.csv": ("states", "--substance", "4He", "--v0", "1e6", "--b", "0",
+                                   "--levels", "4", "--format", "csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_GOLDENS))
+def test_solve_output_matches_stored_golden(capsys, name):
+    code, out, _ = run(capsys, *SOLVE_GOLDENS[name])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 class TestClassify:

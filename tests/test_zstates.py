@@ -41,9 +41,9 @@ UNRESOLVED_B_GRID = surface_grid(-20.0, 30.0 * SCALE_1244, SCALE_1244 / 800.0)
 CAP = rf"is outside \[\S+, {zstates.MAX_GRID_POINTS}\]"     # the grid point cap, named
 
 
-def bisection_bound_ev(grid, v_ev):
-    """4 eps |T|_1 of the finite-difference Hamiltonian on `grid`, in eV."""
-    *_, diag, off = zstates._hamiltonian(grid, v_ev)
+def bisection_bound_ev(profile):
+    """4 eps |T|_1 of the finite-difference Hamiltonian of `profile`, in eV."""
+    *_, diag, off = zstates._hamiltonian(profile)
     rows = np.abs(diag) + np.append(np.abs(off), 0.0) + np.insert(np.abs(off), 0, 0.0)
     return 4.0 * np.finfo(float).eps * np.max(rows) * HARTREE_EV
 
@@ -90,7 +90,10 @@ class TestGrid:
         assert np.array_equal(z, grid.z_min_A + grid.h_A * np.arange(grid.points))
         with pytest.raises(ValueError, match="read-only"):
             z[0] = 0.0
+        w = grid.weights()
+        assert grid.weights() is w and not w.flags.writeable
         assert grid == surface_grid(-20.0, 300.0, 1.6)      # the array is no field
+        assert hash(grid) == hash(surface_grid(-20.0, 300.0, 1.6))
 
     def test_point_cap_is_checked_before_allocation(self):
         GridSpec(-1.0, 1.0, zstates.MAX_GRID_POINTS)      # holds three numbers only
@@ -125,7 +128,7 @@ class TestGrid:
             for levels in range(1, 75):
                 grid = default_grid(spec, levels)
                 assert grid.points * levels <= zstates.MAX_EIGENVECTOR_BLOCK
-                assert zstates._halved(grid).points <= zstates.MAX_GRID_POINTS
+                assert zstates._rescaled(grid, 0.5).points <= zstates.MAX_GRID_POINTS
             assert default_grid(spec, 75).points * 75 > zstates.MAX_EIGENVECTOR_BLOCK
 
     def test_far_tail_stage_halves_the_default_grid(self):
@@ -151,7 +154,7 @@ class TestGrid:
         assert grid.z_max_A >= z_max - 4.0 * math.ulp(z_max)
         s = grid.s_min_A + grid.h_A * np.arange(grid.points)
         assert np.array_equal(grid.nodes(), s)
-        halved = zstates._halved(grid)
+        halved = zstates._rescaled(grid, 0.5)
         assert (halved.ratio, halved.bend_A, halved.far_ratio) == (1.0, 1.0, 1.0)
         assert np.array_equal(halved.nodes(),
                               halved.s_min_A + halved.h_A * np.arange(halved.points))
@@ -178,10 +181,10 @@ class TestGrid:
             grids.append(surface_grid(-20.0, 30.0 * scale, scale / 1600.0))
         richardson = default_grid(HE_SPEC)
         for _ in range(3):
-            richardson = zstates._halved(richardson)
+            richardson = zstates._rescaled(richardson, 0.5)
         grids.append(richardson)
         for grid in grids:
-            assert zstates._halved(grid).points <= zstates.MAX_GRID_POINTS
+            assert zstates._rescaled(grid, 0.5).points <= zstates.MAX_GRID_POINTS
 
     def test_surface_grid_straddles_zero_between_nodes(self):
         g = surface_grid(-20.0, 100.0, 0.37)
@@ -405,7 +408,7 @@ class TestSolveBoundStates:
                     result = solve_bound_states(build_potential(spec, grid), levels,
                                                 report_convergence=False)
                     heights.append([state.mean_z_nm for state in result.states])
-                    grid = zstates._halved(grid)
+                    grid = zstates._rescaled(grid, 0.5)
                 for z_h, z_half, z_quarter in zip(*heights, strict=True):
                     limit = (4.0 * z_quarter - z_half) / 3.0
                     assert z_h == pytest.approx(limit, rel=6e-5), (surface.name, levels)
@@ -449,7 +452,7 @@ class TestConvergenceNote:
 
     def test_bundled_surfaces_carry_no_note(self, registry):
         # at 1-6 levels, as `states` solves them; their largest halving change
-        # is 5.5e-4 of the energy, under the 1e-3 of the unresolved-level note
+        # is 4.0e-5 of the energy, under the 1e-3 of the unresolved-level note
         for surface in registry.surfaces:
             spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
                                     surface.scattering_length_A)
@@ -487,12 +490,12 @@ class TestConvergenceNote:
 
     def test_note_is_joined_to_an_earlier_one(self, monkeypatch):
         eigenpairs = zstates._eigenpairs
-        halved = zstates._halved(UNRESOLVED_B_GRID)
+        halved = zstates._rescaled(UNRESOLVED_B_GRID, 0.5)
 
-        def fail_on_the_halved_grid(spec, grid, *args, **kwargs):
-            if grid == halved:
+        def fail_on_the_halved_grid(profile, *args, **kwargs):
+            if profile.grid == halved:
                 raise zstates.SolverError("forced")
-            return eigenpairs(spec, grid, *args, **kwargs)
+            return eigenpairs(profile, *args, **kwargs)
 
         monkeypatch.setattr(zstates, "_eigenpairs", fail_on_the_halved_grid)
         result = solve_bound_states(build_potential(UNRESOLVED_B_SPEC, UNRESOLVED_B_GRID), 1)
@@ -509,13 +512,12 @@ class TestRefine:
     def _assert_refined_from_matches_bisection(spec, start_grid, grid, count):
         """Refine `grid` from bisection on `start_grid`; compare with bisection on `grid`."""
         start = build_potential(spec, start_grid)
-        seeds, seed_psi = zstates._eigensolve(start_grid, start.samples_ev, count)
+        seeds, seed_psi = zstates._eigensolve(start, count)
         profile = build_potential(spec, grid)
-        energies, psi = zstates._refine(grid, profile.samples_ev, seeds, start_grid.nodes(),
-                                        seed_psi)
-        exact, exact_psi = zstates._eigensolve(grid, profile.samples_ev, count)
+        energies, psi = zstates._refine(profile, seeds, start_grid, seed_psi)
+        exact, exact_psi = zstates._eigensolve(profile, count)
         w = grid.weights()[:, None]
-        assert np.max(np.abs(energies - exact)) <= bisection_bound_ev(grid, profile.samples_ev)
+        assert np.max(np.abs(energies - exact)) <= bisection_bound_ev(profile)
         assert np.sum(psi**2 * w, axis=0) == pytest.approx(np.ones(count), abs=1e-12)
         assert np.sum(exact_psi**2 * w, axis=0) == pytest.approx(np.ones(count), abs=1e-12)
         assert ([zstates._count_nodes(psi[:, k]) for k in range(count)]
@@ -532,7 +534,8 @@ class TestRefine:
     def test_matches_bisection_on_the_halved_grid(self, eps, v0, b, levels):
         spec = RegularizedImage(v0_ev=v0, eps_r=eps, b_A=b)
         grid = default_grid(spec, levels)
-        self._assert_refined_from_matches_bisection(spec, grid, zstates._halved(grid), levels)
+        self._assert_refined_from_matches_bisection(spec, grid, zstates._rescaled(grid, 0.5),
+                                                    levels)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(eps=st.floats(1.02, 1.4), v0=st.floats(0.5, 100.0),
@@ -577,11 +580,11 @@ class TestRefine:
         spec = Interface(v_barrier_below_ev=0.722149, v_barrier_above_ev=1.13555,
                          eps_r_below=1.31331, zeta_A=0.655533)
         profile = build_potential(spec)
-        base, base_psi = zstates._eigensolve(profile.grid, profile.samples_ev, 1)
-        fine = build_potential(spec, zstates._halved(profile.grid))
+        base, base_psi = zstates._eigensolve(profile, 1)
+        fine = build_potential(spec, zstates._rescaled(profile.grid, 0.5))
         with pytest.raises(zstates.SolverError, match="did not converge in 1 linear solves"):
-            zstates._refine(fine.grid, fine.samples_ev, base, profile.grid.nodes(), base_psi)
-        exact, _ = zstates._eigensolve(fine.grid, fine.samples_ev, 1)
+            zstates._refine(fine, base, profile.grid, base_psi)
+        exact, _ = zstates._eigensolve(fine, 1)
         result = solve_bound_states(profile, 1)
         energy = result.states[0].energy_mev
         assert energy == float(base[0]) * 1e3
@@ -591,17 +594,16 @@ class TestRefine:
 
     def test_seed_at_the_second_level_does_not_return_it_as_ground(self):
         profile = build_potential(HE_SPEC)
-        two, psi = zstates._eigensolve(profile.grid, profile.samples_ev, 2)
-        second = (two[1:], profile.grid.nodes(), psi[:, 1:])
+        two, psi = zstates._eigensolve(profile, 2)
+        second = (two[1:], profile.grid, psi[:, 1:])
         with pytest.raises(zstates.SolverError, match="Sturm count"):
-            zstates._refine(profile.grid, profile.samples_ev, *second)
+            zstates._refine(profile, *second)
         # the failed seed falls back to a fresh solve from the grid 4x coarser
-        fresh, _ = zstates._eigenpairs(HE_SPEC, profile.grid, profile.samples_ev, 1)
-        ground, _ = zstates._eigensolve(profile.grid, profile.samples_ev, 1)
+        fresh, _ = zstates._eigenpairs(profile, 1)
+        ground, _ = zstates._eigensolve(profile, 1)
         result = solve_bound_states(profile, 1, report_convergence=False, _seed=second)
         assert result.states[0].energy_mev == float(fresh[0]) * 1e3
-        assert (abs(fresh[0] - ground[0])
-                <= bisection_bound_ev(profile.grid, profile.samples_ev))
+        assert abs(fresh[0] - ground[0]) <= bisection_bound_ev(profile)
         assert result.states[0].node_count == 0
 
     def test_failed_seed_on_a_small_grid_bisects_that_grid(self, monkeypatch, bisected):
@@ -610,11 +612,11 @@ class TestRefine:
         grid = surface_grid(-20.0, 300.0, 1.6)
         assert grid.points == 201
         profile = build_potential(NE_SPEC, grid)
-        two, psi = zstates._eigensolve(grid, profile.samples_ev, 2)
-        second = (two[1:], grid.nodes(), psi[:, 1:])
+        two, psi = zstates._eigensolve(profile, 2)
+        second = (two[1:], grid, psi[:, 1:])
         with pytest.raises(zstates.SolverError, match="Sturm count"):
-            zstates._refine(grid, profile.samples_ev, *second)
-        ground, _ = zstates._eigensolve(grid, profile.samples_ev, 1)
+            zstates._refine(profile, *second)
+        ground, _ = zstates._eigensolve(profile, 1)
         bisected.clear()
         built = []
         make_grid = zstates.surface_grid
@@ -631,11 +633,10 @@ class TestRefine:
 
     def test_two_seeds_on_one_level_are_rejected(self):
         profile = build_potential(NE_SPEC, default_grid(NE_SPEC, 3))
-        levels, psi = zstates._eigensolve(profile.grid, profile.samples_ev, 3)
+        levels, psi = zstates._eigensolve(profile, 3)
         with pytest.raises(zstates.SolverError, match="disjoint"):
-            zstates._refine(profile.grid, profile.samples_ev,
-                            [levels[0], levels[0] * 0.999, levels[2]],
-                            profile.grid.nodes(), psi[:, [0, 0, 2]])
+            zstates._refine(profile, [levels[0], levels[0] * 0.999, levels[2]],
+                            profile.grid, psi[:, [0, 0, 2]])
 
     def test_halving_solve_makes_one_solve_per_level(self, registry, monkeypatch,
                                                      lapack_calls):
@@ -644,10 +645,10 @@ class TestRefine:
         eigenpairs = zstates._eigenpairs
         made = {}
 
-        def counted(spec, grid, *args, **kwargs):
+        def counted(profile, *args, **kwargs):
             before = lapack_calls.copy()
-            out = eigenpairs(spec, grid, *args, **kwargs)
-            made[grid] = lapack_calls - before
+            out = eigenpairs(profile, *args, **kwargs)
+            made[profile.grid] = lapack_calls - before
             return out
 
         monkeypatch.setattr(zstates, "_eigenpairs", counted)
@@ -658,7 +659,7 @@ class TestRefine:
             grid = default_grid(spec, levels)
             made.clear()
             solve_bound_states(build_potential(spec, grid), levels)
-            assert made[zstates._halved(grid)] == {"dgtsv": levels, "dstebz": 1}
+            assert made[zstates._rescaled(grid, 0.5)] == {"dgtsv": levels, "dstebz": 1}
 
     @staticmethod
     def _assert_halving_change_matches_bisection(spec, levels):
@@ -667,14 +668,14 @@ class TestRefine:
         grid = default_grid(spec, levels)
         profile = build_potential(spec, grid)
         result = solve_bound_states(profile, levels)
-        base, _ = zstates._eigensolve(grid, profile.samples_ev, levels)
-        fine = build_potential(spec, zstates._halved(grid))
-        exact, exact_psi = zstates._eigensolve(fine.grid, fine.samples_ev, levels)
-        bound = bisection_bound_ev(fine.grid, fine.samples_ev) * 1e3
+        base, _ = zstates._eigensolve(profile, levels)
+        fine = build_potential(spec, zstates._rescaled(grid, 0.5))
+        exact, exact_psi = zstates._eigensolve(fine, levels)
+        bound = bisection_bound_ev(fine) * 1e3
         assert len(result.convergence.energy_change_mev) == len(result.states)
         for k, change in enumerate(result.convergence.energy_change_mev):
             e_h = grid_energy(result, k)
-            assert abs(e_h - float(base[k]) * 1e3) <= bisection_bound_ev(grid, profile.samples_ev) * 1e3
+            assert abs(e_h - float(base[k]) * 1e3) <= bisection_bound_ev(profile) * 1e3
             assert abs(change - (e_h - float(exact[k]) * 1e3)) <= bound
             assert result.states[k].node_count == zstates._count_nodes(exact_psi[:, k])
 
@@ -706,8 +707,8 @@ class TestCascade:
         result = solve_bound_states(profile, levels)
         assert bisected == cascade(profile.grid, levels)[-1:]
         assert bisected[0].points < 4 * zstates._COARSE_POINTS_PER_LEVEL * levels
-        exact, _ = zstates._eigensolve(profile.grid, profile.samples_ev, levels)
-        bound = bisection_bound_ev(profile.grid, profile.samples_ev) * 1e3
+        exact, _ = zstates._eigensolve(profile, levels)
+        bound = bisection_bound_ev(profile) * 1e3
         for k in range(len(result.states)):
             assert abs(grid_energy(result, k) - float(exact[k]) * 1e3) <= bound
 
@@ -719,11 +720,11 @@ class TestCascade:
         refine = zstates._refine
         tried = []
 
-        def failing_on_405(g, *args):
-            tried.append(g)
-            if g == grids[2]:
+        def failing_on_405(profile, *args):
+            tried.append(profile.grid)
+            if profile.grid == grids[2]:
                 raise zstates.SolverError("forced")
-            return refine(g, *args)
+            return refine(profile, *args)
 
         monkeypatch.setattr(zstates, "_refine", failing_on_405)
         profile = build_potential(HE_SPEC, grid)
@@ -731,8 +732,8 @@ class TestCascade:
         # 405 points fall back to bisection; 1615 and this grid still refine
         assert bisected == [grids[3], grids[2]]
         assert tried == [grids[2], grids[1], grid]
-        exact, _ = zstates._eigensolve(grid, profile.samples_ev, 1)
-        bound = bisection_bound_ev(grid, profile.samples_ev) * 1e3
+        exact, _ = zstates._eigensolve(profile, 1)
+        bound = bisection_bound_ev(profile) * 1e3
         assert abs(result.states[0].energy_mev - float(exact[0]) * 1e3) <= bound
 
     def test_bundled_spectra_bisect_once(self, registry, lapack_calls):
@@ -774,10 +775,10 @@ class TestRichardson:
         grid = default_grid(NE_SPEC)
         for level in energies:
             profile = build_potential(NE_SPEC, grid)
-            exact, _ = zstates._eigensolve(grid, profile.samples_ev, 2)
-            bound = bisection_bound_ev(grid, profile.samples_ev) * 1e3
+            exact, _ = zstates._eigensolve(profile, 2)
+            bound = bisection_bound_ev(profile) * 1e3
             assert abs(level - float(exact[1]) * 1e3) <= bound
-            grid = zstates._halved(grid)
+            grid = zstates._rescaled(grid, 0.5)
 
 
 class TestTransition:
@@ -866,7 +867,7 @@ class TestStarkScan:
             if not alone.states:
                 assert point.state is None
                 continue
-            bound = bisection_bound_ev(grid, profile.samples_ev) * 1e3
+            bound = bisection_bound_ev(profile) * 1e3
             assert abs(point.state.energy_mev - alone.states[0].energy_mev) <= bound
             assert point.state.node_count == 0
             assert point.state.mean_z_nm == pytest.approx(alone.states[0].mean_z_nm,
@@ -947,7 +948,7 @@ class TestIdentityOracles:
 
 def fd_levels_below(profile, e_mev):
     """Sturm count: eigenvalues of the finite-difference matrix below `e_mev`."""
-    *_, diag, off = zstates._hamiltonian(profile.grid, profile.samples_ev)
+    *_, diag, off = zstates._hamiltonian(profile)
     floor = np.min(profile.samples_ev) / HARTREE_EV - 1.0   # below min(V), so every level
     return len(eigvalsh_tridiagonal(diag, off, select="v", lapack_driver="stebz",
                                     select_range=(floor, e_mev * 1e-3 / HARTREE_EV)))

@@ -9,9 +9,10 @@ Run in a git checkout of eqls.  Both revisions are exported with `git archive`
 sides on seed K + i; the base runs first in even pairs and the head in odd
 ones, so a drift of the host over the session falls on both sides alike.
 
-The output file keeps every pair's end-to-end metrics and, per metric, each
-side's median and quartiles, the pairs the head won (ties count for
-neither) and a verdict against the metric's bound in BENCHMARK.json:
+The output file keeps each side's commit and line count of src/eqls/*.py,
+every pair's end-to-end metrics and, per metric, each side's median and
+quartiles, the pairs the head won (ties count for neither) and a verdict
+against the metric's bound in BENCHMARK.json:
 
   worse        the head's median is worse than the base's by more than
                the bound (relative to the base's median);
@@ -96,6 +97,11 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             for m in end_to_end}
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the package's modules, src/eqls/*.py, in `tree` (as `wc -l` counts)."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "eqls").glob("*.py"))
+
+
 def _git(repo: Path, *args: str) -> bytes:
     p = subprocess.run(["git", *args], cwd=repo, capture_output=True)
     if p.returncode != 0:
@@ -147,6 +153,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="eqls-ab-") as tmp:
             trees = {side: Path(tmp) / side for side in ("base", "head")}
             commits = {side: export(REPO, getattr(args, side), trees[side]) for side in trees}
+            lines = {side: src_lines(trees[side]) for side in trees}
             if doc and {s: doc[s]["commit"] for s in trees} != commits:
                 raise ABError(f"{args.out} holds runs of other revisions")
             pairs, environment = [], None
@@ -169,7 +176,8 @@ def main(argv=None) -> int:
     except ABError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc.update({side: {"rev": getattr(args, side), "commit": commits[side]} for side in trees})
+    doc.update({side: {"rev": getattr(args, side), "commit": commits[side],
+                       "src_lines": lines[side]} for side in trees})
     doc.setdefault("workloads", {})[args.workload] = {
         "pairs": args.pairs, "seconds": args.seconds, "seed0": args.seed0,
         "environment": environment, "runs": pairs,

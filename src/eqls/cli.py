@@ -225,14 +225,14 @@ def _cmd_states(args) -> int:
     if args.dump_psi:
         outdir = Path(args.dump_psi)
         stem = sf.name.replace(" ", "_")
-        for sep in filter(None, (os.sep, os.altsep)):     # a name is no path
+        for sep in filter(None, (os.sep, os.altsep, "\0")):     # a name is no path
             stem = stem.replace(sep, "_")
         try:
             outdir.mkdir(parents=True, exist_ok=True)
             for k, st in enumerate(result.states):
                 with open(outdir / f"{stem}_state{k + 1}.dat", "w", encoding="utf-8") as fh:
                     zstates.write_wavefunction(st, fh, k + 1)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:     # open raises ValueError for a NUL in the path
             raise ValueError(f"cannot write wavefunctions to {outdir}: {exc}") from exc
     _emit_table(args, ["state", "energy_meV", "nodes", "mean_z_nm", "dE_half_grid_meV"],
                 rows, md_formats={"energy_meV": ".4g", "mean_z_nm": ".3g",

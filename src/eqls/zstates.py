@@ -41,8 +41,10 @@ bisects all levels of its own grid, and the finer grids still refine.
 Rayleigh-quotient iteration from the known energies, then certifies the
 result: every residual r bounds the distance to an eigenvalue, the
 intervals rho +- r are disjoint, each r^2/gap is within bisection's own
-accuracy 4 eps |T|, and one Sturm count finds no other eigenvalue below
-the top one (plus a gap g).  Solves that keep their vectors iterate until
+accuracy 4 eps |T|, and one Sturm count, the negative pivots of one LDL^T
+factorization (LAPACK dpttrf, `_count_below`), finds no other eigenvalue
+below the top one (plus a gap g); bisection (dstebz) runs nowhere else
+but on the grids it solves.  Solves that keep their vectors iterate until
 the unit vector comes to rest.  The halved grid, whose vectors are
 discarded, and the coarser grids of a cascade, whose vectors are only
 seeds, stop at the first sweep whose energies certify.  So every energy
@@ -260,6 +262,20 @@ class GridSpec:
             a.flags.writeable = False
         return cells
 
+    @functools.cached_property
+    def _kinetic(self):
+        """The grid's part of `_hamiltonian`, in Hartree with lengths in A: the
+        couplings c of the n + 1 cells, sqrt(w), the kinetic diagonal
+        (c_{i-1} + c_i)/w_i and the off-diagonal -c_i/sqrt(w_i w_{i+1}).  Built on
+        first use, then shared read-only by every profile on the grid."""
+        _, h, w = self._cells
+        c = 0.5 * BOHR_ANGSTROM**2 / h      # c/w <= 1/h^2 in Hartree: normal, see __post_init__
+        root = np.sqrt(w)
+        kinetic = c, root, (c[:-1] + c[1:]) / w, -c[1:-1] / (root[:-1] * root[1:])
+        for a in kinetic:
+            a.flags.writeable = False
+        return kinetic
+
     def nodes(self) -> np.ndarray:
         """The node positions in A: built on the first call, then shared read-only."""
         return self._cells[0]
@@ -364,7 +380,7 @@ def build_potential(spec: PotentialSpec, grid: GridSpec | None = None) -> Potent
     if grid is None:
         grid = default_grid(spec)
     z = grid.nodes()
-    pos = z >= 0.0
+    tail = slice(int(np.searchsorted(z, 0.0)), None)     # the nodes ascend: z >= 0 from here
     if isinstance(spec, RegularizedImage):
         eps, barrier, b = spec.eps_r, spec.v0_ev, spec.b_A
     elif isinstance(spec, Interface):
@@ -372,13 +388,13 @@ def build_potential(spec: PotentialSpec, grid: GridSpec | None = None) -> Potent
     else:
         raise TypeError(f"unsupported potential spec {type(spec).__name__}")
     a = hydrogenic_charge(eps) * HARTREE_EV * BOHR_ANGSTROM
-    v = np.where(pos, 0.0, barrier)
+    v = np.full(grid.points, barrier, dtype=float)
     # a node at z = 0 meets the b = 0 pole: cap it at half a cell
-    v[pos] = -a / np.maximum(z[pos] + b, 0.5 * grid.h_A)
+    v[tail] = -a / np.maximum(z[tail] + b, 0.5 * grid.h_A)
     if isinstance(spec, Interface):
-        v[pos] += spec.v_barrier_above_ev * np.tanh(z[pos] / spec.zeta_A) ** 2
+        v[tail] += spec.v_barrier_above_ev * np.tanh(z[tail] / spec.zeta_A) ** 2
     if spec.pressing_field_v_per_m:
-        v[pos] += spec.pressing_field_v_per_m * 1e-10 * z[pos]   # e*E*z, eV per A
+        v[tail] += spec.pressing_field_v_per_m * 1e-10 * z[tail]   # e*E*z, eV per A
     warnings = []
     if not isinstance(spec, Interface):
         extent = 1.5 * BOHR_ANGSTROM / hydrogenic_charge(spec.eps_r)
@@ -433,17 +449,16 @@ def _hamiltonian(profile: PotentialProfile):
 
     Returns the couplings c = hbar^2/(2 m_e h) of the n + 1 cells, sqrt(w) at
     the nodes, the potential, and the diagonal and off-diagonal of the
-    symmetric tridiagonal W^-1/2 K W^-1/2, where
+    symmetric tridiagonal W^-1/2 K W^-1/2 (all but the potential and its
+    share of the diagonal cached on the grid, `GridSpec._kinetic`), where
     (K psi)_i = c_{i-1} (psi_i - psi_{i-1}) - c_i (psi_{i+1} - psi_i) + V_i w_i psi_i
     with psi = 0 beyond both ends: the three-point variable-spacing operator,
     which on a uniform grid is the centred difference.  Its eigenvectors are
     phi = W^1/2 psi, unit vectors where sum psi^2 w = 1.
     """
-    _, h, w = profile.grid._cells
-    c = 0.5 * BOHR_ANGSTROM**2 / h      # c/w <= 1/h^2 in Hartree: normal, see GridSpec
-    root = np.sqrt(w)
+    c, root, kinetic, off = profile.grid._kinetic
     pot = profile.samples_ev / HARTREE_EV
-    return c, root, pot, (c[:-1] + c[1:]) / w + pot, -c[1:-1] / (root[:-1] * root[1:])
+    return c, root, pot, kinetic + pot, off
 
 
 def _eigensolve(profile: PotentialProfile, count: int):
@@ -474,6 +489,37 @@ def _eigensolve(profile: PotentialProfile, count: int):
     return w[order] * HARTREE_EV, vecs / root[:, None]
 
 
+def _count_below(diag, off, sigma: float, limit: int, pivmin: float) -> int:
+    """Eigenvalues of the symmetric tridiagonal (diag, off) below sigma, or
+    limit + 1 if there are more than `limit`.
+
+    The count of negative pivots of LDL^T(T - sigma) (Sylvester's inertia),
+    which is what bisection's Sturm count (dstebz) counts, in one pass over
+    copies of the two diagonals: pttrf factors until its first nonpositive
+    pivot, which is counted and, where above -pivmin, replaced by -pivmin as
+    dlaebz does, and the factorization restarts below it.  Backward stable
+    in the same sense as the Sturm count (Kahan 1966), so a count can differ
+    from dstebz's only where sigma lies within rounding of an eigenvalue.
+    """
+    dpttrf = compiled("scipy.linalg._flapack").dpttrf
+    d = np.subtract(diag, sigma)
+    e = np.array(off)
+    count = start = 0
+    while count <= limit:
+        if start == len(d) - 1:         # pttrf takes no one-element matrix
+            return count + int(d[start] <= 0.0)
+        pivots, _, info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
+        if info == 0:
+            return count
+        count += 1
+        k = start + info - 1            # pttrf stopped at this pivot, before the next
+        if k == len(d) - 1:
+            break
+        d[k + 1] -= off[k] / min(float(pivots[info - 1]), -pivmin) * off[k]
+        start = k + 1
+    return count
+
+
 def _refine(profile: PotentialProfile, seeds_ev, seed_grid: GridSpec, seed_vecs: np.ndarray,
             energies_only: bool = False):
     """Lowest `len(seeds_ev)` eigenpairs near the seed energies, certified.
@@ -489,91 +535,112 @@ def _refine(profile: PotentialProfile, seeds_ev, seed_grid: GridSpec, seed_vecs:
     1/h^2 diagonal never cancels.  The pairs are certified as the lowest
     ones to within the bisection accuracy acc = 4 eps |T|_1: every interval
     rho_k +- r_k holds an eigenvalue, the intervals are disjoint, each
-    r^2/gap is at most acc, and one Sturm count (stebz) finds exactly m
-    eigenvalues below rho_top + g.  With `energies_only`, every sweep is
-    certified and the first that passes is returned, whether or not its
-    vectors have come to rest.  Raises SolverError otherwise.
+    r^2/gap is at most acc, and one inertia count (`_count_below`, the
+    negative pivots of LDL^T(T - rho_top - g)) finds exactly m eigenvalues
+    below rho_top + g.  With `energies_only`, every sweep is certified and
+    the first that passes is returned, whether or not its vectors have come
+    to rest.  Raises SolverError otherwise.  The sweeps work in buffers
+    allocated once per refine.
     """
-    lapack = compiled("scipy.linalg._flapack")
-    dgtsv, dstebz = lapack.dgtsv, lapack.dstebz
+    dgtsv = compiled("scipy.linalg._flapack").dgtsv
 
     n, m = profile.grid.points, len(seeds_ev)
     c, root, pot, diag, off = _hamiltonian(profile)
-    rows = np.abs(diag)
-    rows[1:] -= off
-    rows[:-1] -= off
-    acc = 4.0 * np.finfo(float).eps * float(np.max(rows))
+    work = np.abs(diag)             # the rows of |T|, then gtsv's diagonal and the residual
+    work[1:] -= off
+    work[:-1] -= off
+    acc = 4.0 * np.finfo(float).eps * float(np.max(work))
+    pivmin = np.finfo(float).tiny * max(1.0, float(max(off.max(), -off.min())) ** 2)
     scale = 1.0 / root
-    flux = np.empty(n + 1)          # c (psi_{i+1} - psi_i), with psi 0 beyond both ends
+    col = np.empty(n + 1)           # gtsv's right-hand side and solution, then psi's steps
+    psi = np.zeros(n + 2)           # psi = phi / sqrt(w), and 0 beyond both ends
+    flux = np.empty(n + 1)          # c (psi_{i+1} - psi_i)
+    lower, upper = psi[1:-2], flux[:-2]     # gtsv's off-diagonals, free until the quotient
 
     def quotient(phi):
         """Rayleigh quotient of a unit vector; leaves its fluxes in `flux`."""
-        dpsi = np.diff(phi * scale, prepend=0.0, append=0.0)
+        np.multiply(phi, scale, out=psi[1:-1])
+        dpsi = np.subtract(psi[1:], psi[:-1], out=col)
         np.multiply(c, dpsi, out=flux)
-        return float(flux @ dpsi) + float((pot * phi) @ phi)
+        return float(flux @ dpsi) + float(np.multiply(pot, phi, out=work) @ phi)
 
     def norm(x):
         return math.sqrt(float(x @ x))
 
-    def unit(col, k):
-        length = norm(col)
+    def unit(vec, k):
+        """Scales vec to length 1 in place."""
+        length = norm(vec)
         if not math.isfinite(length) or length == 0.0:
             raise SolverError(f"Rayleigh-quotient iteration for state {k} lost its vector")
-        return col / length
+        vec /= length
 
     def uncertified():
         """Why (rho, r) do not certify the lowest m eigenvalues, or None."""
-        lower = rho - r
-        upper = rho + r
-        if not np.all(np.isfinite(upper)) or np.any(upper[:-1] >= lower[1:]):
+        lows = [x - y for x, y in zip(rho, r)]
+        ups = [x + y for x, y in zip(rho, r)]
+        if (not all(map(math.isfinite, ups))
+                or any(u >= low for u, low in zip(ups, lows[1:]))):
             return "refined intervals are not finite, disjoint and ascending"
         g = 2.0 * max(r[-1], r[-1] ** 2 / acc)     # so that r_top^2 / g <= acc / 2
         top = rho[-1] + g
         if not math.isfinite(top):
             return "refined residual too large to certify"
-        gap = np.minimum(np.append(lower[1:], top) - rho,
-                         rho - np.insert(upper[:-1], 0, -np.inf))
-        if np.any(r * r > acc * gap):
-            return (f"refined levels are not separated enough to certify "
-                    f"(worst r^2/gap {float(np.max(r * r / gap)):.3g} Ha, allowed {acc:.3g})")
-        bottom = float(np.min(pot)) - 1.0      # below min(V), which bounds every level
-        found, *_, info = dstebz(diag, off, 1, bottom, top, 0, 0, 2.0 * (top - bottom), b"B")
-        if info != 0 or found != m:
-            return f"Sturm count below the top refined level is {found}, not {m}"
+        gaps = [min(low - x, x - u)
+                for x, low, u in zip(rho, lows[1:] + [top], [-math.inf] + ups[:-1])]
+        if any(y * y > acc * gap for y, gap in zip(r, gaps)):
+            return (f"refined levels are not separated enough to certify (worst r^2/gap "
+                    f"{max(y * y / gap for y, gap in zip(r, gaps)):.3g} Ha, allowed {acc:.3g})")
+        found = _count_below(diag, off, top, m, pivmin)
+        if found != m:
+            return (f"Sturm count below the top refined level is "
+                    f"{found if found < m else f'over {m}'}, not {m}")
         return None
 
     vecs = np.empty((n, m), order="F")
-    shift = np.asarray(seeds_ev, dtype=float) / HARTREE_EV
-    rho = np.empty(m)
-    r = np.empty(m)
+    shift = [float(e) / HARTREE_EV for e in seeds_ev]
+    rho = [0.0] * m
+    r = [0.0] * m
     z, seed_z = profile.grid.nodes(), seed_grid.nodes()
     for k in range(m):
-        vecs[:, k] = unit(np.interp(z, seed_z, seed_vecs[:, k]) * root, k)
+        phi = vecs[:, k]
+        np.multiply(np.interp(z, seed_z, seed_vecs[:, k]), root, out=phi)
+        unit(phi, k)
     moving = list(range(m))
     for _ in range(_MAX_REFINE_SOLVES):
         for k in list(moving):
             phi = vecs[:, k]
-            *_, col, info = dgtsv(off, diag - shift[k], off, phi, overwrite_d=1)
+            lower[:] = off
+            upper[:] = off
+            x = col[:n]
+            x[:] = phi
+            np.subtract(diag, shift[k], out=work)
+            *_, info = dgtsv(lower, work, upper, x, overwrite_dl=1, overwrite_d=1,
+                             overwrite_du=1, overwrite_b=1)
             if info != 0:
                 raise SolverError(f"Rayleigh-quotient solve for state {k} failed (info {info})")
-            col = unit(col, k)
-            if col @ phi < 0.0:
-                col = -col
-            step = norm(col - phi)
-            phi[:] = col
+            unit(x, k)
+            if x @ phi < 0.0:
+                np.negative(x, out=x)
+            step = norm(np.subtract(x, phi, out=work))
+            phi[:] = x
             rho[k] = shift[k] = quotient(phi)
             if step <= _REFINE_STEP:
                 moving.remove(k)
             elif not energies_only:
                 continue        # a vector still moving is not certified yet
             # the residual, plus a rounding allowance for evaluating it
-            r[k] = norm((pot - rho[k]) * phi - np.diff(flux) * scale) + acc
+            np.subtract(pot, rho[k], out=work)
+            work *= phi
+            div = np.subtract(flux[1:], flux[:-1], out=psi[1:-1])
+            div *= scale
+            work -= div
+            r[k] = norm(work) + acc
         if moving and not energies_only:
             continue
         failure = uncertified()
         if failure is None:
             vecs /= root[:, None]
-            return rho * HARTREE_EV, vecs
+            return np.array(rho) * HARTREE_EV, vecs
         if not moving:
             raise SolverError(failure)
     raise SolverError(f"Rayleigh-quotient iteration for state {moving[0]} did not converge "

@@ -22,21 +22,23 @@ def f1_calls(monkeypatch):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """How often each of LAPACK's dgtsv, dstebz and dstein is called while the test runs."""
+    """How often each of LAPACK's dgtsv, dstebz and dstein, and `zstates._count_below`
+    (one inertia count, by dpttrf), is called while the test runs."""
     lapack = compiled("scipy.linalg._flapack")      # the module `zstates` reads them from
     calls = Counter()
 
-    def counter(name):
-        routine = getattr(lapack, name)
+    def counter(module, name):
+        routine = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return routine(*args, **kwargs)
 
-        return counted
+        monkeypatch.setattr(module, name, counted)
 
     for name in ("dgtsv", "dstebz", "dstein"):
-        monkeypatch.setattr(lapack, name, counter(name))
+        counter(lapack, name)
+    counter(zstates, "_count_below")
     return calls
 
 

@@ -50,6 +50,22 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert ab.verdict(base, [9.9, 9.0, 9.5, 9.1, 9.8], "lower", 0.1)["verdict"] == "within bound"
 
 
+def test_per_pair_ratios_cancel_a_drift_of_the_host():
+    # both sides slow down by a third over the last pairs: the sides' medians
+    # and quartiles spread, the head/base ratio of every pair stays 1.2
+    drift = [1.0] * 7 + [0.7, 0.65, 0.6]
+    base = [100.0 * d for d in drift]
+    head = [120.0 * d for d in drift]
+    v = ab.verdict(base, head, "higher", 0.25)
+    assert v["base_spread"] > 0.25
+    assert v["ratio"] == pytest.approx({"q1": 1.2, "median": 1.2, "q3": 1.2})
+    assert v["verdict"] == "unresolved"     # the rule still reads the sides' medians
+    # a pair with a zero base has no ratio
+    assert ab.verdict([0.0, 0.0, 2.0], [0.0, 1.0, 1.0], "lower", 0.25)["ratio"] == {
+        "q1": 0.5, "median": 0.5, "q3": 0.5}
+    assert ab.verdict([0.0, 0.0], [0.0, 1.0], "lower", 0.25)["ratio"] is None
+
+
 def test_ties_count_for_neither_side_and_a_zero_base_is_no_change():
     v = ab.verdict([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], "lower", 0.25)
     assert (v["worse_by"], v["base_spread"], v["head_wins"], v["verdict"]) == (

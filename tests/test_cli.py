@@ -137,9 +137,10 @@ class TestStates:
         header = files[0].read_text().splitlines()[0]
         assert header.startswith("# z_nm psi_nm^-1/2 state=1")
 
-    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_file"])
+    @pytest.mark.parametrize("under", ["", "sub", "a\u0000b"], ids=["file", "under_file", "nul"])
     def test_dump_to_an_unwritable_path_exits_2(self, capsys, tmp_path, under):
-        # an existing file, and a directory under a file: no directory can be made
+        # an existing file, a directory under a file, and a name no path may
+        # hold: no directory can be made
         blocker = tmp_path / "file"
         blocker.write_text("kept\n")
         code, out, err = run(capsys, "states", "--substance", "liquid 4He", "--levels", "1",
@@ -148,9 +149,10 @@ class TestStates:
         assert err.startswith("error: cannot write wavefunctions to ") and err.count("\n") == 1
         assert blocker.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("name", ["../escaped", "He/film"])
+    @pytest.mark.parametrize("name", ["../escaped", "He/film", "a\u0000b"])
     def test_dump_stays_inside_its_directory(self, capsys, tmp_path, name):
-        # a surface name is no path: each separator becomes "_" in the file name
+        # a surface name is no path: each separator, and NUL, which no path may
+        # hold, becomes "_" in the file name
         doc = json.loads(json.dumps(BUNDLED))
         doc["surfaces"] = [dict(doc["surfaces"][0], name=name)]
         registry = tmp_path / "substances.json"
@@ -159,7 +161,7 @@ class TestStates:
         code, _, err = run(capsys, "states", "--substances", str(registry), "--substance",
                            name, "--levels", "1", "--dump-psi", str(outdir))
         assert (code, err) == (0, "")
-        stem = name.replace("/", "_")
+        stem = name.replace("/", "_").replace("\0", "_")
         assert [p.name for p in outdir.iterdir()] == [f"{stem}_state1.dat"]
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
             "run", "run/psi", f"run/psi/{stem}_state1.dat", "substances.json"]

@@ -197,6 +197,38 @@ class TestGrid:
 
 
 class TestBuildPotential:
+    @pytest.mark.parametrize("spec, eps, barrier, b", [
+        (HE_SPEC, 1.056, 1.1, 0.62),
+        (RegularizedImage(0.7, 1.244, 0.38, 3e4), 1.244, 0.7, 0.38),
+        (InfiniteBarrierImage(1.056, 1e5), 1.056, zstates.INFINITE_BARRIER_EV, 0.0),
+        (Interface(0.7, 1.1, 1.244, 1.0, -2e4), 1.244, 0.7, 0.0)],
+        ids=["He", "Ne_field", "hard_wall", "interface"])
+    def test_profiles_on_one_grid_share_the_kinetic_operator(self, spec, eps, barrier, b):
+        # the samples and the Hamiltonian, bit for bit as the masked and per-profile
+        # reference formulas give them; every field of a Stark scan reuses c, sqrt(w)
+        # and the off-diagonal
+        grid = default_grid(spec)
+        z, (_, h, w) = grid.nodes(), grid._cells
+        profile = build_potential(spec, grid)
+        pos = z >= 0.0
+        v = np.where(pos, 0.0, barrier)
+        v[pos] = (-zstates.hydrogenic_charge(eps) * HARTREE_EV * BOHR_ANGSTROM
+                  / np.maximum(z[pos] + b, 0.5 * grid.h_A))
+        if isinstance(spec, Interface):
+            v[pos] += spec.v_barrier_above_ev * np.tanh(z[pos] / spec.zeta_A) ** 2
+        v[pos] += spec.pressing_field_v_per_m * 1e-10 * z[pos]
+        assert profile.samples_ev.tobytes() == v.tobytes()
+        c = 0.5 * BOHR_ANGSTROM**2 / h
+        root = np.sqrt(w)
+        pot = v / HARTREE_EV
+        reference = c, root, pot, (c[:-1] + c[1:]) / w + pot, -c[1:-1] / (root[:-1] * root[1:])
+        built = zstates._hamiltonian(profile)
+        assert [x.tobytes() for x in built] == [y.tobytes() for y in reference]
+        flat = zstates._hamiltonian(build_potential(dataclasses.replace(
+            spec, pressing_field_v_per_m=0.0), grid))
+        assert [x is y for x, y in zip(flat, built)] == [True, True, False, False, True]
+        assert not any(x.flags.writeable for x in grid._kinetic)
+
     def test_image_tail_value(self):
         # -[(eps-1)/(eps+1)] e^2 / (4 (z+b)) at z = 10 A for the helium surface
         grid = GridSpec(-2.0, 10.0, 13)       # integer nodes, includes z=10
@@ -505,6 +537,40 @@ class TestConvergenceNote:
         assert result.convergence.energy_change_mev == ()
 
 
+@st.composite
+def tridiagonal_counts(draw):
+    """(diag, off, sigma, limit): a symmetric tridiagonal of 1-12 rows with
+    some zero couplings, and sigma often one of its diagonal entries, where
+    the LDL^T pivot is zero (at the first row, or after a zero coupling)."""
+    n = draw(st.integers(1, 12))
+    diag = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    # no coupling so small that bisection splits the matrix there and we do not
+    coupling = st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.floats(-5.0, -0.01))
+    off = draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
+    sigma = draw(st.one_of(st.sampled_from(diag), st.floats(-20.0, 20.0)))
+    return np.array(diag), np.array(off, dtype=float), sigma, draw(st.integers(0, n))
+
+
+class TestCountBelow:
+    """`_count_below`, the inertia count that certifies a refine."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=tridiagonal_counts())
+    @example(case=(np.array([0.5]), np.array([]), 0.5, 1))
+    @example(case=(np.array([0.5, -1.0]), np.array([2.0]), 0.5, 2))
+    @example(case=(np.array([1.0, 0.5, 3.0]), np.array([0.0, 0.0]), 0.5, 3))
+    @example(case=(np.array([1.0, -2.0, 3.0, 0.0]), np.array([1.0, 0.0, 1.0]), -2.0, 4))
+    def test_matches_the_sturm_count_up_to_its_limit(self, case):
+        diag, off, sigma, limit = case
+        for a in (diag, off):
+            a.flags.writeable = False       # the count works on its own copies
+        pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off * off, initial=0.0)))
+        floor = min(float(np.min(diag)) - 2.0 * float(np.max(np.abs(off), initial=0.0)),
+                    sigma) - 1.0            # below every eigenvalue (Gershgorin)
+        below = len(eigvalsh_tridiagonal(diag, off, select="v", select_range=(floor, sigma)))
+        assert zstates._count_below(diag, off, sigma, limit, pivmin) == min(below, limit + 1)
+
+
 class TestRefine:
     """Seeded, certified refinement against bisection on the same grid."""
 
@@ -641,7 +707,8 @@ class TestRefine:
     def test_halving_solve_makes_one_solve_per_level(self, registry, monkeypatch,
                                                      lapack_calls):
         # the halving grid's vectors are discarded, so its refine stops at the
-        # first sweep whose energies certify: one dgtsv per level, one Sturm count
+        # first sweep whose energies certify: one dgtsv per level, one inertia
+        # count and no bisection
         eigenpairs = zstates._eigenpairs
         made = {}
 
@@ -659,7 +726,33 @@ class TestRefine:
             grid = default_grid(spec, levels)
             made.clear()
             solve_bound_states(build_potential(spec, grid), levels)
-            assert made[zstates._rescaled(grid, 0.5)] == {"dgtsv": levels, "dstebz": 1}
+            assert made[zstates._rescaled(grid, 0.5)] == {"dgtsv": levels, "_count_below": 1}
+
+    def test_certification_never_bisects(self, registry, monkeypatch, lapack_calls):
+        # every refine certifies by inertia counts alone: dstebz runs only
+        # inside `_eigensolve`, on the spectra, the hard wall and a Stark scan
+        refine = zstates._refine
+        made = []
+
+        def counted(*args, **kwargs):
+            before = lapack_calls.copy()
+            try:
+                return refine(*args, **kwargs)
+            finally:
+                made.append(lapack_calls - before)
+
+        monkeypatch.setattr(zstates, "_refine", counted)
+        for surface in registry.surfaces:
+            spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
+                                    surface.scattering_length_A)
+            assert solve_bound_states(build_potential(spec), 2).shortfall == 0
+        hard_wall = InfiniteBarrierImage(1.056)
+        assert solve_bound_states(build_potential(hard_wall, default_grid(hard_wall, 2)),
+                                  2).shortfall == 0
+        assert all(p.state for p in stark_scan(HE_SPEC, [0.0, 1e4, 3e4]))
+        assert len(made) > 20
+        assert [c["dstebz"] for c in made] == [0] * len(made)
+        assert lapack_calls["dstebz"] == len(registry.surfaces) + 2     # one bisection each
 
     @staticmethod
     def _assert_halving_change_matches_bisection(spec, levels):
@@ -739,17 +832,17 @@ class TestCascade:
     def test_bundled_spectra_bisect_once(self, registry, lapack_calls):
         # dstein runs only inside a bisection, once per level: two calls are one
         # bisection of two levels (on 405-419 points of the uniform grids at
-        # (a_B/Z)/200).  Each refine certifies with one Sturm count (dstebz) and
-        # solves one dgtsv per level and sweep: 2 sweeps on the grid 4x coarser,
-        # whose energies alone must certify, 3 on the base grid, 1 on the halved
-        # grid
+        # (a_B/Z)/200), whose one dstebz call is the only one.  Each refine
+        # certifies with one inertia count (`_count_below`) and solves one dgtsv
+        # per level and sweep: 2 sweeps on the grid 4x coarser, whose energies
+        # alone must certify, 3 on the base grid, 1 on the halved grid
         for surface in registry.surfaces:
             spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
                                     surface.scattering_length_A)
             profile = build_potential(spec, uniform_default_grid(spec))
             lapack_calls.clear()
             assert solve_bound_states(profile, 2).shortfall == 0
-            assert lapack_calls == {"dgtsv": 12, "dstebz": 4, "dstein": 2}
+            assert lapack_calls == {"dgtsv": 12, "dstebz": 1, "dstein": 2, "_count_below": 3}
 
 
 class TestRichardson:

@@ -11,8 +11,12 @@ ones, so a drift of the host over the session falls on both sides alike.
 
 The output file keeps each side's commit and line count of src/eqls/*.py,
 every pair's end-to-end metrics and, per metric, each side's median and
-quartiles, the pairs the head won (ties count for neither) and a verdict
-against the metric's bound in BENCHMARK.json:
+quartiles, the median and quartiles of the per-pair ratio head/base over
+the pairs with a nonzero base (a drift of the host's speed over the session
+moves both runs of a pair, so it widens each side's quartiles but not
+these), the pairs the head won (ties
+count for neither) and a verdict against the metric's bound in
+BENCHMARK.json, which reads the sides' medians:
 
   worse        the head's median is worse than the base's by more than
                the bound (relative to the base's median);
@@ -68,6 +72,7 @@ def verdict(base: list[float], head: list[float], better: str, bound: float) -> 
     sign = -1.0 if better == "higher" else 1.0      # sign * (head - base) > 0 is worse
     b1, b_med, b3 = quartiles(base)
     h1, h_med, h3 = quartiles(head)
+    ratios = [h / b for b, h in zip(base, head) if b != 0.0]
     wins = sum(sign * (h - b) < 0.0 for b, h in zip(base, head))
     worse_by = _relative(sign * (h_med - b_med), b_med)
     spread = _relative(b3 - b1, b_med)
@@ -83,6 +88,7 @@ def verdict(base: list[float], head: list[float], better: str, bound: float) -> 
         result = "within bound"
     return {"base": {"q1": b1, "median": b_med, "q3": b3},
             "head": {"q1": h1, "median": h_med, "q3": h3},
+            "ratio": dict(zip(("q1", "median", "q3"), quartiles(ratios))) if ratios else None,
             "worse_by": worse_by, "base_spread": spread, "bound": bound,
             "head_wins": wins, "pairs": len(base), "verdict": result}
 
@@ -185,7 +191,9 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for name, m in doc["workloads"][args.workload]["metrics"].items():
         print(f"{args.workload} {name}: {m['base']['median']:.4g} -> {m['head']['median']:.4g} "
-              f"{m['unit']}, head better in {m['head_wins']}/{m['pairs']}: {m['verdict']}")
+              f"{m['unit']}, head better in {m['head_wins']}/{m['pairs']}: {m['verdict']}"
+              + (f"; head/base per pair {m['ratio']['median']:.4g} "
+                 f"[{m['ratio']['q1']:.4g}, {m['ratio']['q3']:.4g}]" if m["ratio"] else ""))
     return 0
 
 

@@ -544,7 +544,7 @@ def tridiagonal_counts(draw):
     the LDL^T pivot is zero (at the first row, or after a zero coupling)."""
     n = draw(st.integers(1, 12))
     diag = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
-    # no coupling so small that bisection splits the matrix there and we do not
+    # no coupling so small that bisection would split the matrix there and the count not
     coupling = st.one_of(st.just(0.0), st.floats(0.01, 5.0), st.floats(-5.0, -0.01))
     off = draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
     sigma = draw(st.one_of(st.sampled_from(diag), st.floats(-20.0, 20.0)))

@@ -14,9 +14,9 @@ every pair's end-to-end metrics and, per metric, each side's median and
 quartiles, the median and quartiles of the per-pair ratio head/base over
 the pairs with a nonzero base (a drift of the host's speed over the session
 moves both runs of a pair, so it widens each side's quartiles but not
-these), the pairs the head won (ties
-count for neither) and a verdict against the metric's bound in
-BENCHMARK.json, which reads the sides' medians:
+these), the pairs the head won (ties count for neither) and a verdict
+against the metric's bound in BENCHMARK.json, which reads the sides'
+medians:
 
   worse        the head's median is worse than the base's by more than
                the bound (relative to the base's median);

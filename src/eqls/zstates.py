@@ -210,7 +210,8 @@ class GridSpec:
     the surface to about r h_A in the near tail and r G h_A in the far tail.
     The package builds two kinds: the uniform grid z = s of `surface_grid`
     (ratio = far_ratio = 1, the defaults) and the two-stage grid of
-    `default_grid`.
+    `default_grid`.  A grid caches its nodes and weights (`_cells`) and no
+    operator: `_hamiltonian` forms that per call.
     """
 
     s_min_A: float
@@ -246,39 +247,27 @@ class GridSpec:
         return float(self._mapped(self.s_max_A))
 
     def _mapped(self, s):
+        if self.ratio == self.far_ratio == 1.0:
+            return s        # the uniform map is the identity
         near, far = self.bend_A, _FAR_BEND * self.bend_A
         return (s + (self.ratio - 1.0) * (s - near * np.tanh(s / near))
                 + self.ratio * (self.far_ratio - 1.0) * (s - far * np.tanh(s / far)))
 
     @functools.cached_property
     def _cells(self):
-        """Nodes, the spacings of the n + 1 cells (a ghost node beyond each end)
-        and the weights w_i = (h_{i-1} + h_i)/2, all in A: built on first use,
-        then shared read-only."""
+        """The nodes with a ghost node beyond each end, the nodes alone (a view)
+        and the weights w_i = (h_{i-1} + h_i)/2 of the cell spacings h, all in A:
+        built on first use, then shared read-only."""
         z = self._mapped(self.s_min_A + self.h_A * np.arange(-1, self.points + 1))
         h = np.diff(z)
-        cells = z[1:-1], h, 0.5 * (h[:-1] + h[1:])
-        for a in cells:
+        w = 0.5 * (h[:-1] + h[1:])
+        for a in (z, w):
             a.flags.writeable = False
-        return cells
-
-    @functools.cached_property
-    def _kinetic(self):
-        """The grid's part of `_hamiltonian`, in Hartree with lengths in A: the
-        couplings c of the n + 1 cells, sqrt(w), the kinetic diagonal
-        (c_{i-1} + c_i)/w_i and the off-diagonal -c_i/sqrt(w_i w_{i+1}).  Built on
-        first use, then shared read-only by every profile on the grid."""
-        _, h, w = self._cells
-        c = 0.5 * BOHR_ANGSTROM**2 / h      # c/w <= 1/h^2 in Hartree: normal, see __post_init__
-        root = np.sqrt(w)
-        kinetic = c, root, (c[:-1] + c[1:]) / w, -c[1:-1] / (root[:-1] * root[1:])
-        for a in kinetic:
-            a.flags.writeable = False
-        return kinetic
+        return z, z[1:-1], w
 
     def nodes(self) -> np.ndarray:
         """The node positions in A: built on the first call, then shared read-only."""
-        return self._cells[0]
+        return self._cells[1]
 
     def weights(self) -> np.ndarray:
         """Each node's share of the line, (h_{i-1} + h_i)/2 in A: sum(psi^2 w) = 1."""
@@ -449,16 +438,18 @@ def _hamiltonian(profile: PotentialProfile):
 
     Returns the couplings c = hbar^2/(2 m_e h) of the n + 1 cells, sqrt(w) at
     the nodes, the potential, and the diagonal and off-diagonal of the
-    symmetric tridiagonal W^-1/2 K W^-1/2 (all but the potential and its
-    share of the diagonal cached on the grid, `GridSpec._kinetic`), where
+    symmetric tridiagonal W^-1/2 K W^-1/2, where
     (K psi)_i = c_{i-1} (psi_i - psi_{i-1}) - c_i (psi_{i+1} - psi_i) + V_i w_i psi_i
     with psi = 0 beyond both ends: the three-point variable-spacing operator,
     which on a uniform grid is the centred difference.  Its eigenvectors are
-    phi = W^1/2 psi, unit vectors where sum psi^2 w = 1.
+    phi = W^1/2 psi, unit vectors where sum psi^2 w = 1.  All five are formed
+    per call and owned by the caller: no operator is cached on the grid.
     """
-    c, root, kinetic, off = profile.grid._kinetic
+    z, _, w = profile.grid._cells
+    c = 0.5 * BOHR_ANGSTROM**2 / np.diff(z)     # c/w <= 1/h^2 in Hartree: normal, see GridSpec
+    root = np.sqrt(w)
     pot = profile.samples_ev / HARTREE_EV
-    return c, root, pot, kinetic + pot, off
+    return c, root, pot, (c[:-1] + c[1:]) / w + pot, -c[1:-1] / (root[:-1] * root[1:])
 
 
 def _eigensolve(profile: PotentialProfile, count: int):
@@ -489,21 +480,23 @@ def _eigensolve(profile: PotentialProfile, count: int):
     return w[order] * HARTREE_EV, vecs / root[:, None]
 
 
-def _count_below(diag, off, sigma: float, limit: int, pivmin: float) -> int:
+def _count_below(diag, off, sigma: float, limit: int, pivmin: float, d, e) -> int:
     """Eigenvalues of the symmetric tridiagonal (diag, off) below sigma, or
     limit + 1 if there are more than `limit`.
 
     The count of negative pivots of LDL^T(T - sigma) (Sylvester's inertia),
     which is what bisection's Sturm count (dstebz) counts, in one pass over
-    copies of the two diagonals: pttrf factors until its first nonpositive
-    pivot, which is counted and, where above -pivmin, replaced by -pivmin as
-    dlaebz does, and the factorization restarts below it.  Backward stable
-    in the same sense as the Sturm count (Kahan 1966), so a count can differ
-    from dstebz's only where sigma lies within rounding of an eigenvalue.
+    copies of the two diagonals, made in the caller's scratch arrays d and e
+    (as long as diag and off; their contents are lost): pttrf factors until
+    its first nonpositive pivot, which is counted and, where above -pivmin,
+    replaced by -pivmin as dlaebz does, and the factorization restarts below
+    it.  Backward stable in the same sense as the Sturm count (Kahan 1966),
+    so a count can differ from dstebz's only where sigma lies within
+    rounding of an eigenvalue.
     """
     dpttrf = compiled("scipy.linalg._flapack").dpttrf
-    d = np.subtract(diag, sigma)
-    e = np.array(off)
+    np.subtract(diag, sigma, out=d)
+    e[:] = off
     count = start = 0
     while count <= limit:
         if start == len(d) - 1:         # pttrf takes no one-element matrix
@@ -540,7 +533,9 @@ def _refine(profile: PotentialProfile, seeds_ev, seed_grid: GridSpec, seed_vecs:
     below rho_top + g.  With `energies_only`, every sweep is certified and
     the first that passes is returned, whether or not its vectors have come
     to rest.  Raises SolverError otherwise.  The sweeps work in buffers
-    allocated once per refine.
+    allocated once per refine, after the seeds are interpolated, and the
+    inertia count factors in two of them, `work` and `col[:n - 1]`, which
+    are free at certification.
     """
     dgtsv = compiled("scipy.linalg._flapack").dgtsv
 
@@ -551,11 +546,6 @@ def _refine(profile: PotentialProfile, seeds_ev, seed_grid: GridSpec, seed_vecs:
     work[:-1] -= off
     acc = 4.0 * np.finfo(float).eps * float(np.max(work))
     pivmin = np.finfo(float).tiny * max(1.0, float(max(off.max(), -off.min())) ** 2)
-    scale = 1.0 / root
-    col = np.empty(n + 1)           # gtsv's right-hand side and solution, then psi's steps
-    psi = np.zeros(n + 2)           # psi = phi / sqrt(w), and 0 beyond both ends
-    flux = np.empty(n + 1)          # c (psi_{i+1} - psi_i)
-    lower, upper = psi[1:-2], flux[:-2]     # gtsv's off-diagonals, free until the quotient
 
     def quotient(phi):
         """Rayleigh quotient of a unit vector; leaves its fluxes in `flux`."""
@@ -590,21 +580,26 @@ def _refine(profile: PotentialProfile, seeds_ev, seed_grid: GridSpec, seed_vecs:
         if any(y * y > acc * gap for y, gap in zip(r, gaps)):
             return (f"refined levels are not separated enough to certify (worst r^2/gap "
                     f"{max(y * y / gap for y, gap in zip(r, gaps)):.3g} Ha, allowed {acc:.3g})")
-        found = _count_below(diag, off, top, m, pivmin)
+        found = _count_below(diag, off, top, m, pivmin, work, col[:n - 1])
         if found != m:
             return (f"Sturm count below the top refined level is "
                     f"{found if found < m else f'over {m}'}, not {m}")
         return None
 
     vecs = np.empty((n, m), order="F")
-    shift = [float(e) / HARTREE_EV for e in seeds_ev]
-    rho = [0.0] * m
-    r = [0.0] * m
     z, seed_z = profile.grid.nodes(), seed_grid.nodes()
     for k in range(m):
         phi = vecs[:, k]
         np.multiply(np.interp(z, seed_z, seed_vecs[:, k]), root, out=phi)
         unit(phi, k)
+    scale = 1.0 / root
+    col = np.empty(n + 1)           # gtsv's right-hand side and solution, then psi's steps
+    psi = np.zeros(n + 2)           # psi = phi / sqrt(w), and 0 beyond both ends
+    flux = np.empty(n + 1)          # c (psi_{i+1} - psi_i)
+    lower, upper = psi[1:-2], flux[:-2]     # gtsv's off-diagonals, free until the quotient
+    shift = [float(e) / HARTREE_EV for e in seeds_ev]
+    rho = [0.0] * m
+    r = [0.0] * m
     moving = list(range(m))
     for _ in range(_MAX_REFINE_SOLVES):
         for k in list(moving):

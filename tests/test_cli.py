@@ -137,6 +137,19 @@ class TestStates:
         header = files[0].read_text().splitlines()[0]
         assert header.startswith("# z_nm psi_nm^-1/2 state=1")
 
+    def test_failed_bisection_exits_3(self, capsys, monkeypatch):
+        lapack = compiled("scipy.linalg._flapack")
+        dstebz = lapack.dstebz
+
+        def failing(*args, **kwargs):
+            *out, _ = dstebz(*args, **kwargs)
+            return (*out, 3)
+
+        monkeypatch.setattr(lapack, "dstebz", failing)
+        code, out, err = run(capsys, "states", "--substance", "Ne")
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical error: bisection found 2 of states 0..1 (info 3)")
+
     @pytest.mark.parametrize("under", ["", "sub", "a\u0000b"], ids=["file", "under_file", "nul"])
     def test_dump_to_an_unwritable_path_exits_2(self, capsys, tmp_path, under):
         # an existing file, a directory under a file, and a name no path may

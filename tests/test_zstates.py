@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from eqls import cli, zstates
-from eqls.units import BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, PLANCK_EV_S
+from eqls.units import BOHR_ANGSTROM, BOLTZMANN_EV_PER_K, HARTREE_EV, PLANCK_EV_S, compiled
 from eqls.zstates import (
     GridSpec,
     InfiniteBarrierImage,
@@ -205,10 +206,12 @@ class TestBuildPotential:
         ids=["He", "Ne_field", "hard_wall", "interface"])
     def test_profiles_on_one_grid_share_the_kinetic_operator(self, spec, eps, barrier, b):
         # the samples and the Hamiltonian, bit for bit as the masked and per-profile
-        # reference formulas give them; every field of a Stark scan reuses c, sqrt(w)
-        # and the off-diagonal
+        # reference formulas give them; every field of a Stark scan gets the same
+        # c, sqrt(w) and off-diagonal, formed per call (the grid caches no operator)
         grid = default_grid(spec)
-        z, (_, h, w) = grid.nodes(), grid._cells
+        ghost, z, w = grid._cells
+        h = np.diff(ghost)
+        assert w.tobytes() == (0.5 * (h[:-1] + h[1:])).tobytes()
         profile = build_potential(spec, grid)
         pos = z >= 0.0
         v = np.where(pos, 0.0, barrier)
@@ -226,8 +229,8 @@ class TestBuildPotential:
         assert [x.tobytes() for x in built] == [y.tobytes() for y in reference]
         flat = zstates._hamiltonian(build_potential(dataclasses.replace(
             spec, pressing_field_v_per_m=0.0), grid))
-        assert [x is y for x, y in zip(flat, built)] == [True, True, False, False, True]
-        assert not any(x.flags.writeable for x in grid._kinetic)
+        for k in (0, 1, 4):     # c, sqrt(w) and the off-diagonal
+            assert flat[k].tobytes() == built[k].tobytes()
 
     def test_image_tail_value(self):
         # -[(eps-1)/(eps+1)] e^2 / (4 (z+b)) at z = 10 A for the helium surface
@@ -343,6 +346,24 @@ class TestHydrogenicLevels:
 
 
 class TestSolveBoundStates:
+    def test_solve_holds_at_most_34_grid_vectors(self):
+        # a 2-level hard wall on the benchmark's (a_B/Z)/800 grid: the peak is the
+        # halved grid's refine (50,514 points); counted in vectors of the grid given
+        scale = BOHR_ANGSTROM / zstates.hydrogenic_charge(1.39829)
+        profile = build_potential(InfiniteBarrierImage(1.39829),
+                                  surface_grid(-20.0, 30.0 * scale, scale / 800.0))
+        assert profile.grid.points == 25257
+        compiled("scipy.linalg._flapack")       # loading LAPACK is no part of the solve
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve_bound_states(profile, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / (8 * profile.grid.points) <= 34.0
+
     def test_helium_matches_published_row(self, he_result):
         s1, s2 = he_result.states
         assert s1.energy_mev == pytest.approx(-0.676, rel=0.10)
@@ -563,12 +584,15 @@ class TestCountBelow:
     def test_matches_the_sturm_count_up_to_its_limit(self, case):
         diag, off, sigma, limit = case
         for a in (diag, off):
-            a.flags.writeable = False       # the count works on its own copies
+            a.flags.writeable = False       # the count works in the scratch arrays
         pivmin = np.finfo(float).tiny * max(1.0, float(np.max(off * off, initial=0.0)))
         floor = min(float(np.min(diag)) - 2.0 * float(np.max(np.abs(off), initial=0.0)),
                     sigma) - 1.0            # below every eigenvalue (Gershgorin)
         below = len(eigvalsh_tridiagonal(diag, off, select="v", select_range=(floor, sigma)))
-        assert zstates._count_below(diag, off, sigma, limit, pivmin) == min(below, limit + 1)
+        scratch = np.full(2 * len(diag), np.nan)       # d and e, as `_refine` passes them
+        d, e = scratch[:len(diag)], scratch[len(diag):2 * len(diag) - 1]
+        assert (zstates._count_below(diag, off, sigma, limit, pivmin, d, e)
+                == min(below, limit + 1))
 
 
 class TestRefine:
@@ -784,6 +808,59 @@ class TestRefine:
             spec = RegularizedImage(surface.barrier_v0_ev, surface.dielectric_constant,
                                     surface.scattering_length_A)
             self._assert_halving_change_matches_bisection(spec, 2)
+
+
+class TestLapackFailures:
+    """Each raise of `_eigensolve` and `_refine` on a LAPACK failure, reached by
+    patching the routine where `zstates` reads it; `_refine` is called directly,
+    since `_eigenpairs` answers its errors with bisection."""
+
+    @staticmethod
+    def patch(monkeypatch, name, replace):
+        lapack = compiled("scipy.linalg._flapack")
+        routine = getattr(lapack, name)
+        monkeypatch.setattr(lapack, name, lambda *a, **k: replace(*routine(*a, **k)))
+
+    @staticmethod
+    def seeded_refine():
+        """The 201-point solid-Ne profile and its bisected two levels as a seed."""
+        grid = surface_grid(-20.0, 300.0, 1.6)
+        profile = build_potential(NE_SPEC, grid)
+        energies, psi = zstates._eigensolve(profile, 2)
+        return profile, (energies, grid, psi)
+
+    def test_failed_bisection_raises(self, monkeypatch):
+        self.patch(monkeypatch, "dstebz", lambda m, w, iblock, isplit, info: (
+            m, w, iblock, isplit, 3))
+        with pytest.raises(zstates.SolverError, match=r"bisection found 2 of states 0\.\.1 "
+                                                      r"\(info 3\)"):
+            zstates._eigensolve(build_potential(NE_SPEC, surface_grid(-20.0, 300.0, 1.6)), 2)
+
+    def test_failed_inverse_iteration_raises(self, monkeypatch):
+        self.patch(monkeypatch, "dstein", lambda z, info: (z, 1))
+        with pytest.raises(zstates.SolverError,
+                           match=r"inverse iteration failed for state 0 \(info 1\)"):
+            zstates._eigensolve(build_potential(NE_SPEC, surface_grid(-20.0, 300.0, 1.6)), 2)
+
+    def test_failed_linear_solve_raises(self, monkeypatch):
+        profile, seed = self.seeded_refine()
+        self.patch(monkeypatch, "dgtsv", lambda dl, d, du, x, info: (dl, d, du, x, 2))
+        with pytest.raises(zstates.SolverError,
+                           match=r"Rayleigh-quotient solve for state 0 failed \(info 2\)"):
+            zstates._refine(profile, *seed)
+
+    @pytest.mark.parametrize("lost", [0.0, math.nan], ids=["zero", "nan"])
+    def test_lost_vector_raises(self, monkeypatch, lost):
+        profile, seed = self.seeded_refine()
+
+        def lose(dl, d, du, x, info):
+            x[:] = lost
+            return dl, d, du, x, info
+
+        self.patch(monkeypatch, "dgtsv", lose)
+        with pytest.raises(zstates.SolverError,
+                           match="Rayleigh-quotient iteration for state 0 lost its vector"):
+            zstates._refine(profile, *seed)
 
 
 class TestCascade:
